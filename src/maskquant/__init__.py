@@ -6,16 +6,13 @@ from .daq import (
     DaqConfig,
     QuantizedGroup,
     RCBinaryOrder,
-    binary_rc_init,
     classic_binarize,
     daq_fit,
-    rsr_fit,
     update_alpha_c,
     update_alpha_r,
     update_signs,
 )
 from .denoiser import (
-    ActivationRecord,
     ToyModel,
     ToyModelSpec,
     eval_divergence,
@@ -28,7 +25,6 @@ from .errors import ConfigError, ShapeError
 from .mcs import (
     MaskedSequence,
     McsConfig,
-    build_prefix_set,
     sample_mask,
     simulate,
     visibility_schedule,
@@ -61,7 +57,6 @@ from .stats import (
     build_importance_mask,
     damped_inverse_diag,
     importance_matrix,
-    merge,
     proxy_loss,
     true_data_loss,
 )

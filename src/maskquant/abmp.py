@@ -9,8 +9,17 @@ can be locked to order 2 so the budget arithmetic stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+
+
+def floor_fraction(ratio: float, n: int) -> int:
+    """floor(ratio * n), exact for the decimal that `ratio` prints as.
+
+    Binary floating point would give int(0.29 * 100) == 28.
+    """
+    return int(Fraction(str(float(ratio))) * n)
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ def allocate(scores, ratio: float, locked=()) -> BitAllocation:
         raise ValueError("ratio must be in [0, 0.5]")
     locked = frozenset(locked)
     eligible = [i for i in range(scores.size) if i not in locked]
-    k = int(ratio * len(eligible))
+    k = floor_fraction(ratio, len(eligible))
     ranked = sorted(eligible, key=lambda i: (-scores[i], i))
     orders = [2] * scores.size
     for i in ranked[:k]:

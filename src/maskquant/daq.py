@@ -99,6 +99,13 @@ def _weighted_sq(diff: np.ndarray, lam2: np.ndarray | None) -> float:
     return float((lam2 * diff * diff).sum())
 
 
+def center_rows(w) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row means of `w` and `w` with them subtracted, both float64."""
+    w = np.asarray(w, dtype=np.float64)
+    mu = w.mean(axis=1)
+    return mu, w - mu[:, None]
+
+
 def classic_binarize(w, row_center: bool = True):
     """Per-row single-scale binarization: sign carrier times the row mean of
     absolute values, optionally after removing per-row means.
@@ -108,8 +115,7 @@ def classic_binarize(w, row_center: bool = True):
     w = _validated(w)
     mu = None
     if row_center:
-        mu = w.mean(axis=1)
-        w = w - mu[:, None]
+        mu, w = center_rows(w)
     alpha_r = np.abs(w).mean(axis=1)
     signs = np.where(w >= 0, 1, -1).astype(np.int8)
     return alpha_r, signs, mu
@@ -128,16 +134,6 @@ def _rc_init(x: np.ndarray):
     alpha_c = ratios.mean(axis=0)
     signs = np.where(x >= 0, 1.0, -1.0)
     return alpha_r, alpha_c, signs
-
-
-def binary_rc_init(x) -> RCBinaryOrder:
-    x = _validated(x)
-    alpha_r, alpha_c, signs = _rc_init(x)
-    return RCBinaryOrder(
-        alpha_r=alpha_r.astype(np.float32),
-        alpha_c=alpha_c.astype(np.float32),
-        signs=signs.astype(np.int8),
-    )
 
 
 def update_alpha_r(x, signs, alpha_c, lam=None, epsilon: float = 1e-8) -> np.ndarray:
@@ -220,11 +216,7 @@ def daq_fit(w, lam=None, cfg: DaqConfig | None = None) -> QuantizedGroup:
     w = _validated(w)
     lam2 = _squared_weights(lam, w.shape)
 
-    mu = None
-    target = w
-    if cfg.row_center:
-        mu = w.mean(axis=1)
-        target = w - mu[:, None]
+    mu, target = center_rows(w) if cfg.row_center else (None, w)
 
     scales: list[tuple[np.ndarray, np.ndarray]] = []
     signs: list[np.ndarray] = []
@@ -270,11 +262,3 @@ def daq_fit(w, lam=None, cfg: DaqConfig | None = None) -> QuantizedGroup:
     row_mean = mu.astype(np.float32) if mu is not None else None
     return QuantizedGroup(orders=orders, row_mean=row_mean, loss_history=history)
 
-
-def rsr_fit(x, lam=None, cfg: DaqConfig | None = None) -> RCBinaryOrder:
-    """Single-term alternating fit of `x` itself (no row centering)."""
-    cfg = cfg or DaqConfig()
-    single = DaqConfig(
-        order=1, sweeps=cfg.sweeps, tol=cfg.tol, epsilon=cfg.epsilon, row_center=False
-    )
-    return daq_fit(x, lam, single).orders[0]

@@ -44,14 +44,6 @@ class ToyModelSpec:
         return self.vocab - 1
 
 
-@dataclass
-class ActivationRecord:
-    """The exact input matrix a named linear layer was multiplied with."""
-
-    layer: str
-    inputs: np.ndarray  # (features, tokens) float32
-
-
 class ToyModel:
     """Weights are immutable after construction; forwards may run in parallel."""
 
@@ -67,16 +59,9 @@ class ToyModel:
         self.layers = layers                # name -> (out, in) float32
         self.positional = positional        # (seq_len, d_model) float32 or None
 
-    def linear_names(self) -> list[str]:
-        names = []
-        for b in range(self.spec.n_blocks):
-            names += [f"block{b}.up", f"block{b}.down"]
-        names.append("out_proj")
-        return names
-
     def quantizable_names(self) -> list[str]:
         """Default quantization targets: the block projections."""
-        return [n for n in self.linear_names() if n != "out_proj"]
+        return [f"block{b}.{p}" for b in range(self.spec.n_blocks) for p in ("up", "down")]
 
 
 def init_model(spec: ToyModelSpec) -> ToyModel:
@@ -116,8 +101,9 @@ def forward(
 ):
     """Run the denoiser on one sequence.
 
-    Returns (logits, records): logits is (vocab, L); records is a list of
-    one ActivationRecord per linear layer when capture is set, else None.
+    Returns (logits, inputs): logits is (vocab, L); when capture is set,
+    inputs maps each linear layer's name to the exact (features, L) matrix
+    it was multiplied with, else it is None.
     `overrides` substitutes weight matrices by layer name, used to evaluate
     quantized variants without touching the model.
     """
@@ -140,22 +126,22 @@ def forward(
     def weight(name: str) -> np.ndarray:
         return overrides.get(name, model.layers[name])
 
-    records: list[ActivationRecord] | None = [] if capture else None
+    inputs: dict[str, np.ndarray] | None = {} if capture else None
     h = model.embedding[ids].T.copy()  # (d_model, L)
     if model.positional is not None:
         h = h + model.positional[: ids.size].T
     for b in range(model.spec.n_blocks):
         up, down = f"block{b}.up", f"block{b}.down"
-        if records is not None:
-            records.append(ActivationRecord(up, h))
+        if inputs is not None:
+            inputs[up] = h
         u = np.maximum(weight(up) @ h, 0.0)
-        if records is not None:
-            records.append(ActivationRecord(down, u))
+        if inputs is not None:
+            inputs[down] = u
         h = h + weight(down) @ u
-    if records is not None:
-        records.append(ActivationRecord("out_proj", h))
+    if inputs is not None:
+        inputs["out_proj"] = h
     logits = weight("out_proj") @ h
-    return logits, records
+    return logits, inputs
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

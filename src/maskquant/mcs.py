@@ -9,13 +9,11 @@ parallelism never change the output.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .container import write_tensor
+from .abmp import floor_fraction
 from .rng import Rng
 
 # Stream-id namespace for mask draws; keeps them off other subsystems' streams.
@@ -26,7 +24,6 @@ MCS_STREAM_BASE = 2 << 32
 class McsConfig:
     timesteps: int = 8          # size of the timestep grid
     prefix_ratio: float = 0.25  # fraction of positions always visible
-    schedule: str = "linear"
     mask_id: int = 63
     seed: int = 0
 
@@ -35,8 +32,6 @@ class McsConfig:
             raise ValueError("timesteps must be >= 1")
         if not 0.0 <= self.prefix_ratio <= 1.0:
             raise ValueError("prefix_ratio must be in [0, 1]")
-        if self.schedule != "linear":
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.mask_id < 0:
             raise ValueError("mask_id must be non-negative")
 
@@ -57,12 +52,6 @@ def visibility_schedule(t_index: int, timesteps: int) -> float:
         raise ValueError(f"t_index {t_index} outside [1, {timesteps}]")
     return 1.0 - t_index / timesteps
 
-def build_prefix_set(length: int, prefix_ratio: float) -> frozenset[int]:
-    """First floor(prefix_ratio * length) positions, 0-based."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return frozenset(range(int(prefix_ratio * length)))
-
 
 def sample_mask(
     tokens: np.ndarray,
@@ -73,10 +62,10 @@ def sample_mask(
 ) -> MaskedSequence:
     """Mask one sequence at one timestep.
 
-    Prefix positions stay visible; every other position is kept with
-    probability alpha (defaults to the schedule value at t_index) and
-    replaced by cfg.mask_id otherwise. `alpha` may be overridden for
-    schedule-free use.
+    The first floor(prefix_ratio * length) positions stay visible; every
+    other position is kept with probability alpha (defaults to the schedule
+    value at t_index) and replaced by cfg.mask_id otherwise. `alpha` may be
+    overridden for schedule-free use.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 1 or tokens.size == 0:
@@ -86,14 +75,14 @@ def sample_mask(
     if alpha is None:
         alpha = visibility_schedule(t_index, cfg.timesteps)
     length = tokens.size
-    prefix_len = int(cfg.prefix_ratio * length)
+    prefix_len = floor_fraction(cfg.prefix_ratio, length)
     visible = rng.uniform(length) < alpha
     visible[:prefix_len] = True
     ids = np.where(visible, tokens, cfg.mask_id).astype(np.uint32)
     return MaskedSequence(ids=ids, visible=visible, t_index=t_index, alpha=float(alpha))
 
 
-def unmasked(tokens: np.ndarray, cfg: McsConfig) -> MaskedSequence:
+def unmasked(tokens: np.ndarray) -> MaskedSequence:
     """Fully visible copy, for calibration arms that skip masking."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 1 or tokens.size == 0:
@@ -123,16 +112,3 @@ def simulate(sequences, cfg: McsConfig) -> list[MaskedSequence]:
             out.append(sample_mask(tokens, t, cfg, rng))
     return out
 
-
-def write_masked_set(
-    ids_path: str | os.PathLike,
-    visible_path: str | os.PathLike,
-    masked: list[MaskedSequence],
-) -> None:
-    """Dump a masked set as two tensors: uint32 ids and a 0/1 visibility mask."""
-    if not masked:
-        raise ValueError("empty masked set")
-    ids = np.stack([m.ids for m in masked]).astype(np.uint32)
-    vis = np.stack([m.visible for m in masked]).astype(np.uint32)
-    write_tensor(Path(ids_path), ids)
-    write_tensor(Path(visible_path), vis)

@@ -56,7 +56,6 @@ class PipelineConfig:
     sweeps: int = 10
     tol: float = 1e-6
     epsilon: float = 1e-8
-    row_center: bool = True
     use_rsr: bool = True
     # mixed precision
     use_abmp: bool = True
@@ -206,8 +205,12 @@ def calibration_tokens(cfg: PipelineConfig, spec: ToyModelSpec) -> np.ndarray:
         tokens = read_tensor(path)
         if tokens.ndim != 2 or tokens.dtype != np.uint32:
             raise ShapeError(f"{path}: expected a 2-D uint32 token tensor")
-        if int(tokens.max(initial=0)) >= spec.vocab:
+        if tokens.size == 0:
+            raise ShapeError(f"{path}: token tensor {tokens.shape} holds no tokens")
+        if int(tokens.max()) >= spec.vocab:
             raise ShapeError(f"{path}: token ids exceed vocabulary {spec.vocab}")
+        if (tokens == spec.mask_id).any():
+            raise ShapeError(f"{path}: tokens contain the mask id {spec.mask_id}")
         return tokens
     rng = Rng(cfg.seed, CALIB_TOKEN_STREAM)
     return rng.integers(0, spec.mask_id, (cfg.calib_sequences, spec.seq_len)).astype(np.uint32)
@@ -231,14 +234,12 @@ def cmd_calib(cfg: PipelineConfig) -> Path:
     if cfg.use_mcs:
         masked = mcs.simulate(tokens, cfg.mcs_config(model.spec.mask_id))
     else:
-        base = cfg.mcs_config(model.spec.mask_id)
-        masked = [mcs.unmasked(row, base) for row in tokens]
+        masked = [mcs.unmasked(row) for row in tokens]
     moments = {name: stats.SecondMoment(model.layers[name].shape[1]) for name in names}
     for seq in masked:
-        _, records = forward(model, seq, capture=True)
-        for rec in records:
-            if rec.layer in moments:
-                moments[rec.layer].accumulate(rec.inputs)
+        _, inputs = forward(model, seq, capture=True)
+        for name, sm in moments.items():
+            sm.accumulate(inputs[name])
     cfg.stats_dir.mkdir(parents=True, exist_ok=True)
     for name, sm in moments.items():
         stats.save_second_moment(sm, cfg.stats_dir / f"{name}.qdt")
@@ -270,11 +271,7 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
         lam = mask.weights()
         outlier_fraction = mask.outlier_fraction
 
-    mu = None
-    target = weights.astype(np.float64)
-    if cfg.row_center:
-        mu = target.mean(axis=1)
-        target = target - mu[:, None]
+    mu, target = daq.center_rows(weights)
 
     part = abmp.partition(rows, cols, cfg.group_width)
     if cfg.use_abmp:
@@ -344,12 +341,8 @@ def cmd_quantize(cfg: PipelineConfig):
     estimate = qformat.memory_estimate(qformat.describe_qpk(records))
     if estimate != qpk_bytes:
         raise AssertionError("size estimator out of sync with the encoder")
-
-    quantized_params = sum(model.layers[n].size for n in names)
-    total_params = model.embedding.size + sum(w.size for w in model.layers.values())
-    if model.positional is not None:
-        total_params += model.positional.size
-    fp16_params = total_params - quantized_params
+    fp16_params = _fp16_params(model, names)
+    total_bytes = qpk_bytes + 2 * fp16_params
 
     report = {
         "seed": cfg.seed,
@@ -358,13 +351,21 @@ def cmd_quantize(cfg: PipelineConfig):
         "memory": {
             "qpk_bytes": qpk_bytes,
             "fp16_params": fp16_params,
-            "total_bytes": qformat.memory_estimate(qformat.describe_qpk(records), fp16_params),
-            "gb": qformat.gigabytes(qpk_bytes + 2 * fp16_params),
+            "total_bytes": total_bytes,
+            "gb": qformat.gigabytes(total_bytes),
         },
         "eval": None,
     }
     _write_report(cfg.report_path, report)
     return cfg.qpk_path, report
+
+
+def _fp16_params(model: ToyModel, quantized: list[str]) -> int:
+    """Parameters left in half precision: everything not quantized."""
+    total = model.embedding.size + sum(w.size for w in model.layers.values())
+    if model.positional is not None:
+        total += model.positional.size
+    return total - sum(model.layers[n].size for n in quantized)
 
 
 def _write_report(path: Path, report: dict) -> None:
@@ -404,35 +405,38 @@ def cmd_eval(cfg: PipelineConfig, qpk_path=None) -> dict:
 _PRESETS = ("fp16-8b", "llada8b-2bit")
 
 
+def _size_report(source: str, assumptions: str, size: int) -> dict:
+    return {
+        "source": source,
+        "assumptions": assumptions,
+        "bytes": size,
+        "gb": qformat.gigabytes(size),
+    }
+
+
 def cmd_estimate_mem(cfg: PipelineConfig | None = None, qpk_path=None, preset: str | None = None) -> dict:
     """Size accounting for a packed file, a named preset, or the configured model."""
     if qpk_path is not None:
         layers = qformat.read_qpk(qpk_path)
-        size = qformat.memory_estimate(qformat.describe_qpk(layers))
-        return {
-            "source": str(qpk_path),
-            "assumptions": "exact accounting of the packed file, headers included",
-            "bytes": size,
-            "gb": qformat.gigabytes(size),
-        }
+        return _size_report(
+            str(qpk_path),
+            "exact accounting of the packed file, headers included",
+            qformat.memory_estimate(qformat.describe_qpk(layers)),
+        )
     if preset == "fp16-8b":
         params = 8_045_000_000
-        size = qformat.memory_estimate([], fp16_params=params)
-        return {
-            "source": preset,
-            "assumptions": f"{params} parameters, all half precision",
-            "bytes": size,
-            "gb": qformat.gigabytes(size),
-        }
+        return _size_report(
+            preset,
+            f"{params} parameters, all half precision",
+            qformat.memory_estimate([], fp16_params=params),
+        )
     if preset == "llada8b-2bit":
         layers, fp16_params = qformat.llada8b_like_layers()
-        size = qformat.memory_estimate(layers, fp16_params)
-        return {
-            "source": preset,
-            "assumptions": qformat.llada8b_like_layers.__doc__.strip(),
-            "bytes": size,
-            "gb": qformat.gigabytes(size),
-        }
+        return _size_report(
+            preset,
+            qformat.llada8b_like_layers.__doc__.strip(),
+            qformat.memory_estimate(layers, fp16_params),
+        )
     if preset is not None:
         raise ConfigError(f"unknown preset {preset!r}; choose from {_PRESETS}")
     if cfg is None:
@@ -446,24 +450,16 @@ def cmd_estimate_mem(cfg: PipelineConfig | None = None, qpk_path=None, preset: s
             cols=model.layers[name].shape[1],
             group_width=cfg.group_width,
             orders=cfg.order,
-            row_mean=cfg.row_center,
         )
         for name in names
     ]
-    total_params = model.embedding.size + sum(w.size for w in model.layers.values())
-    if model.positional is not None:
-        total_params += model.positional.size
-    fp16_params = total_params - sum(model.layers[n].size for n in names)
-    size = qformat.memory_estimate(shapes, fp16_params)
-    return {
-        "source": "config",
-        "assumptions": (
-            f"{len(shapes)} quantized layers at uniform order {cfg.order}, "
-            f"group width {cfg.group_width}, {fp16_params} half-precision parameters"
-        ),
-        "bytes": size,
-        "gb": qformat.gigabytes(size),
-    }
+    fp16_params = _fp16_params(model, names)
+    return _size_report(
+        "config",
+        f"{len(shapes)} quantized layers at uniform order {cfg.order}, "
+        f"group width {cfg.group_width}, {fp16_params} half-precision parameters",
+        qformat.memory_estimate(shapes, fp16_params),
+    )
 
 
 # --- ablation grid -------------------------------------------------------------

@@ -20,9 +20,10 @@ Sign planes are packed row-major, LSB-first within each 64-bit word, bit 1
 meaning +1; trailing pad bits are zero and are verified on decode. Scales
 are stored half precision and widened before any arithmetic.
 
-The byte accounting in :func:`memory_estimate` mirrors this writer exactly,
-so an estimate over the same layer descriptions equals the encoded file
-size.
+The struct constants and :func:`_group_nbytes` below are the one
+definition of this layout: the writer, the reader and
+:func:`memory_estimate` all use them, so an estimate over the same layer
+descriptions equals the encoded file size.
 """
 from __future__ import annotations
 
@@ -34,11 +35,27 @@ from typing import Sequence
 
 import numpy as np
 
+from .abmp import partition
 from .daq import QuantizedGroup
 from .errors import ShapeError
 
 MAGIC = b"QPK1"
 _MAX_ORDER = 3
+
+_FILE_HEADER = struct.Struct("<4sI")     # magic, layer count
+_NAME_LEN = struct.Struct("<H")          # followed by the UTF-8 name
+_LAYER_HEADER = struct.Struct("<QQQB")   # rows, cols, group width, row-mean flag
+_GROUP_COUNT = struct.Struct("<Q")       # after the optional row means
+_GROUP_HEADER = struct.Struct("<QB")     # group cols, order
+
+
+def _plane_words(rows: int, cols: int) -> int:
+    return (rows * cols + 63) // 64
+
+
+def _group_nbytes(rows: int, cols: int, order: int) -> int:
+    """Encoded size of one group: header, sign planes, alpha_r, alpha_c."""
+    return _GROUP_HEADER.size + order * (8 * _plane_words(rows, cols) + 2 * (rows + cols))
 
 
 class QpkFormatError(Exception):
@@ -63,7 +80,7 @@ def pack_signs(signs: np.ndarray) -> np.ndarray:
 def unpack_signs(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`pack_signs`; rejects nonzero padding bits."""
     words = np.asarray(words, dtype="<u8")
-    expected = (rows * cols + 63) // 64
+    expected = _plane_words(rows, cols)
     if words.size != expected:
         raise QpkFormatError(f"plane has {words.size} words, expected {expected}")
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")
@@ -192,27 +209,19 @@ def rc_matvec(layer: QpkLayer, x: np.ndarray) -> np.ndarray:
 # --- encoding ---------------------------------------------------------------
 
 
-def _plane_words(rows: int, cols: int) -> int:
-    return (rows * cols + 63) // 64
-
-
 def write_qpk(path: str | os.PathLike, layers: Sequence[QpkLayer]) -> None:
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", len(layers))
+    buf = bytearray(_FILE_HEADER.pack(MAGIC, len(layers)))
     for layer in layers:
         name = layer.name.encode("utf-8")
-        buf += struct.pack("<H", len(name))
+        buf += _NAME_LEN.pack(len(name))
         buf += name
-        buf += struct.pack("<QQQ", layer.rows, layer.cols, layer.group_width)
-        if layer.row_mean is not None:
-            buf += b"\x01"
+        has_mean = layer.row_mean is not None
+        buf += _LAYER_HEADER.pack(layer.rows, layer.cols, layer.group_width, has_mean)
+        if has_mean:
             buf += layer.row_mean.astype("<f2").tobytes()
-        else:
-            buf += b"\x00"
-        buf += struct.pack("<Q", len(layer.groups))
+        buf += _GROUP_COUNT.pack(len(layer.groups))
         for g in layer.groups:
-            buf += struct.pack("<QB", g.cols, g.order)
+            buf += _GROUP_HEADER.pack(g.cols, g.order)
             buf += g.planes.astype("<u8").tobytes()
             buf += g.alpha_r.astype("<f2").tobytes()
             buf += g.alpha_c.astype("<f2").tobytes()
@@ -232,60 +241,58 @@ class _Reader:
         self.pos += n
         return out
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    def unpack(self, layout: struct.Struct):
+        return layout.unpack(self.take(layout.size))
+
+
+def _read_group(rd: _Reader, rows: int, cols: int, order: int) -> PackedGroup:
+    body = rd.take(_group_nbytes(rows, cols, order) - _GROUP_HEADER.size)
+    words = _plane_words(rows, cols)
+    planes = np.frombuffer(body, dtype="<u8", count=order * words).reshape(order, words)
+    scales = np.frombuffer(body, dtype="<f2", offset=planes.nbytes)
+    for k in range(order):
+        unpack_signs(planes[k], rows, cols)  # validates padding bits
+    return PackedGroup(
+        rows=rows,
+        cols=cols,
+        order=order,
+        planes=planes.copy(),
+        alpha_r=scales[: order * rows].reshape(order, rows).copy(),
+        alpha_c=scales[order * rows :].reshape(order, cols).copy(),
+    )
 
 
 def read_qpk(path: str | os.PathLike) -> list[QpkLayer]:
     raw = Path(path).read_bytes()
     rd = _Reader(raw, str(path))
-    if rd.take(4) != MAGIC:
+    magic, layer_count = rd.unpack(_FILE_HEADER)
+    if magic != MAGIC:
         raise QpkFormatError(f"{path}: not a QPK1 file")
-    (layer_count,) = rd.unpack("<I")
     layers = []
     for _ in range(layer_count):
-        (name_len,) = rd.unpack("<H")
-        name = rd.take(name_len).decode("utf-8")
-        rows, cols, group_width = rd.unpack("<QQQ")
+        (name_len,) = rd.unpack(_NAME_LEN)
+        try:
+            name = rd.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise QpkFormatError(f"{path}: layer name is not UTF-8 ({exc.reason})") from None
+        rows, cols, group_width, has_mean = rd.unpack(_LAYER_HEADER)
         if rows < 1 or cols < 1 or group_width < 1:
             raise QpkFormatError(f"{path}: implausible shape for layer {name!r}")
-        (has_mean,) = rd.unpack("<B")
         row_mean = None
         if has_mean == 1:
             row_mean = np.frombuffer(rd.take(2 * rows), dtype="<f2").copy()
         elif has_mean != 0:
             raise QpkFormatError(f"{path}: bad row-mean flag {has_mean}")
-        (num_groups,) = rd.unpack("<Q")
+        (num_groups,) = rd.unpack(_GROUP_COUNT)
         groups = []
         covered = 0
         for _ in range(num_groups):
-            g_cols, order = rd.unpack("<QB")
+            g_cols, order = rd.unpack(_GROUP_HEADER)
             if not 1 <= order <= _MAX_ORDER:
                 raise QpkFormatError(f"{path}: bad order {order} in layer {name!r}")
             if g_cols < 1 or covered + g_cols > cols:
                 raise QpkFormatError(f"{path}: group overruns layer {name!r}")
-            words = _plane_words(rows, g_cols)
-            planes = np.frombuffer(rd.take(8 * words * order), dtype="<u8").reshape(
-                order, words
-            ).copy()
-            alpha_r = np.frombuffer(rd.take(2 * rows * order), dtype="<f2").reshape(
-                order, rows
-            ).copy()
-            alpha_c = np.frombuffer(rd.take(2 * g_cols * order), dtype="<f2").reshape(
-                order, g_cols
-            ).copy()
-            for k in range(order):
-                unpack_signs(planes[k], rows, g_cols)  # validates padding bits
-            groups.append(
-                PackedGroup(
-                    rows=rows,
-                    cols=g_cols,
-                    order=order,
-                    planes=planes,
-                    alpha_r=alpha_r,
-                    alpha_c=alpha_c,
-                )
-            )
+            groups.append(_read_group(rd, rows, g_cols, order))
             covered += g_cols
         if covered != cols:
             raise QpkFormatError(f"{path}: groups cover {covered} of {cols} columns")
@@ -319,10 +326,7 @@ class LayerShape:
     row_mean: bool = True
 
     def group_cols(self) -> list[int]:
-        return [
-            min(self.group_width, self.cols - start)
-            for start in range(0, self.cols, self.group_width)
-        ]
+        return list(partition(self.rows, self.cols, self.group_width).widths())
 
     def group_orders(self) -> list[int]:
         n_groups = len(self.group_cols())
@@ -339,17 +343,14 @@ class LayerShape:
 def memory_estimate(layers: Sequence[LayerShape], fp16_params: int = 0) -> int:
     """Exact encoded size in bytes of the described layers, headers included,
     plus two bytes per parameter kept in half precision outside the file."""
-    total = 4 + 4  # magic + layer count
+    total = _FILE_HEADER.size
     for layer in layers:
-        total += 2 + len(layer.name.encode("utf-8"))
-        total += 8 * 3 + 1
+        total += _NAME_LEN.size + len(layer.name.encode("utf-8"))
+        total += _LAYER_HEADER.size + _GROUP_COUNT.size
         if layer.row_mean:
             total += 2 * layer.rows
-        total += 8
         for g_cols, order in zip(layer.group_cols(), layer.group_orders()):
-            total += 8 + 1
-            total += order * 8 * _plane_words(layer.rows, g_cols)
-            total += order * 2 * (layer.rows + g_cols)
+            total += _group_nbytes(layer.rows, g_cols, order)
     return total + 2 * fp16_params
 
 

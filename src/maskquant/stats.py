@@ -21,11 +21,9 @@ from .errors import ShapeError
 class SecondMoment:
     """Running gram accumulation over token columns, kept in float64.
 
-    Accumulation is a left-to-right fold over records. Sharding a record
-    stream and merging the shards in order replays the same additions, so it
-    reproduces a single pass over those shard totals bit for bit; regrouping
-    records across shard boundaries changes the fold tree and is only equal
-    to float rounding.
+    Accumulation is a left-to-right fold over activation blocks: the same
+    blocks in the same order reproduce the gram bit for bit, while splitting
+    the same columns into different blocks agrees only to float rounding.
     """
 
     def __init__(self, dim: int):
@@ -48,16 +46,6 @@ class SecondMoment:
         x = inputs.astype(np.float64, copy=False)
         self.gram += x @ x.T
         self.count += inputs.shape[1]
-
-
-def merge(a: SecondMoment, b: SecondMoment) -> SecondMoment:
-    """Combine two accumulations; commutative, and exact for in-order shards."""
-    if a.dim != b.dim:
-        raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    out = SecondMoment(a.dim)
-    out.gram = a.gram + b.gram
-    out.count = a.count + b.count
-    return out
 
 
 def save_second_moment(sm: SecondMoment, path: str | os.PathLike) -> None:

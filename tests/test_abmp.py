@@ -48,6 +48,13 @@ def test_allocate_small_group_count_floors_to_zero():
     assert alloc.orders == (2,) * 10
 
 
+def test_allocate_floor_is_exact():
+    # 0.29 * 100 is 28.999... in binary floating point; the spec's floor is 29
+    alloc = allocate(np.ones(100), 0.29)
+    assert alloc.reallocated == 29
+    assert sum(alloc.orders) == 2 * 100
+
+
 def test_allocate_tie_break_by_index():
     alloc = allocate(np.ones(40), 0.05)
     assert alloc.orders[0] == 3 and alloc.orders[1] == 3

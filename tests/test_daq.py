@@ -7,10 +7,8 @@ import pytest
 
 from maskquant.daq import (
     DaqConfig,
-    binary_rc_init,
     classic_binarize,
     daq_fit,
-    rsr_fit,
     update_alpha_c,
     update_alpha_r,
     update_signs,
@@ -49,17 +47,22 @@ def test_classic_uncentered_row_means():
 # --- initialization ----------------------------------------------------------
 
 
+def _greedy_term(x):
+    # the greedy starting point of a single term: an order-1 fit with no sweeps
+    return daq_fit(x, cfg=DaqConfig(order=1, sweeps=0, row_center=False)).orders[0]
+
+
 def test_rc_init_frozen_example():
     # hand evaluation: row means of |X| are (1.5, 3.5); column scales are the
     # row-normalized column means ((1/1.5 + 3/3.5)/2, (2/1.5 + 4/3.5)/2)
-    fit = binary_rc_init(np.array([[1.0, -2.0], [3.0, 4.0]]))
+    fit = _greedy_term(np.array([[1.0, -2.0], [3.0, 4.0]]))
     assert np.allclose(fit.alpha_r, [1.5, 3.5])
     assert np.allclose(fit.alpha_c, [0.761905, 1.238095], atol=1e-5)
     assert fit.signs.tolist() == [[1, -1], [1, 1]]
 
 
 def test_rc_init_constant_matrix_exact():
-    fit = binary_rc_init(np.full((3, 4), 2.5))
+    fit = _greedy_term(np.full((3, 4), 2.5))
     assert np.allclose(fit.alpha_r, 2.5)
     assert np.allclose(fit.alpha_c, 1.0)
     assert np.allclose(fit.reconstruct(), 2.5)
@@ -67,7 +70,7 @@ def test_rc_init_constant_matrix_exact():
 
 def test_rc_init_sign_symmetry():
     x = _gauss((6, 7), seed=1)
-    a, b = binary_rc_init(x), binary_rc_init(-x)
+    a, b = _greedy_term(x), _greedy_term(-x)
     assert np.array_equal(a.alpha_r, b.alpha_r)
     assert np.array_equal(a.alpha_c, b.alpha_c)
     assert np.array_equal(a.signs, -b.signs)
@@ -75,7 +78,7 @@ def test_rc_init_sign_symmetry():
 
 def test_rc_init_zero_row_guarded():
     x = np.array([[0.0, 0.0], [2.0, 4.0]])
-    fit = binary_rc_init(x)
+    fit = _greedy_term(x)
     assert fit.alpha_r[0] == 0.0
     # zero row contributes 0 to the column means, denominator stays n
     assert np.allclose(fit.alpha_c, [2.0 / 3.0 / 2.0, 4.0 / 3.0 / 2.0])
@@ -216,9 +219,14 @@ def test_update_signs_matches_bruteforce(order):
 # --- alternating fits -------------------------------------------------------------
 
 
+def _refined_term(x):
+    # single-term alternating fit of x itself
+    return daq_fit(x, cfg=DaqConfig(order=1, row_center=False)).orders[0]
+
+
 def test_rsr_constant_matrix_exact():
     x = np.full((4, 6), 3.0)
-    fit = rsr_fit(x)
+    fit = _refined_term(x)
     assert proxy_loss(x, fit.reconstruct()) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -228,25 +236,16 @@ def test_rsr_rank1_magnitude_exact():
     v = np.asarray(rng.uniform(64)) + 0.5
     s = np.where(np.asarray(rng.uniform((64, 64))) < 0.5, 1.0, -1.0)
     x = np.outer(u, v) * s
-    fit = rsr_fit(x)
+    fit = _refined_term(x)
     assert proxy_loss(x, fit.reconstruct()) < 1e-10
 
 
 def test_rsr_beats_classic_on_gaussian():
     x = _gauss((64, 64), seed=8)
-    fit = rsr_fit(x)
+    fit = _refined_term(x)
     alpha, signs, _ = classic_binarize(x, row_center=False)
     classic = proxy_loss(x, alpha[:, None] * signs)
     assert proxy_loss(x, fit.reconstruct()) <= classic
-
-
-def test_daq_order1_equals_rsr():
-    x = _gauss((24, 30), seed=9)
-    lone = daq_fit(x, cfg=DaqConfig(order=1, row_center=False)).orders[0]
-    alone = rsr_fit(x)
-    assert np.array_equal(lone.alpha_r, alone.alpha_r)
-    assert np.array_equal(lone.alpha_c, alone.alpha_c)
-    assert np.array_equal(lone.signs, alone.signs)
 
 
 def test_daq_exactly_representable_two_terms():

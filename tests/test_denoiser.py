@@ -73,9 +73,8 @@ def test_positional_variant_breaks_symmetry():
 def test_capture_shapes_and_exactness():
     model = _model()
     ids = Rng(1, 0).integers(0, 63, 32).astype(np.uint32)
-    logits, records = forward(model, ids, capture=True)
-    by_name = {rec.layer: rec.inputs for rec in records}
-    assert set(by_name) == set(model.linear_names())
+    logits, by_name = forward(model, ids, capture=True)
+    assert set(by_name) == set(model.layers)
     assert by_name["block0.up"].shape == (32, 32)  # (d_model, L)
     assert by_name["block0.down"].shape == (64, 32)  # (d_hidden, L)
     # the captures are the true operands: replaying each matmul on its

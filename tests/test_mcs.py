@@ -5,14 +5,11 @@ import pytest
 
 from maskquant.mcs import (
     McsConfig,
-    build_prefix_set,
     sample_mask,
     simulate,
     unmasked,
     visibility_schedule,
-    write_masked_set,
 )
-from maskquant.container import read_tensor
 from maskquant.rng import Rng
 
 
@@ -31,14 +28,22 @@ def test_schedule_monotone_and_range_checked():
         visibility_schedule(9, 8)
 
 
-def test_prefix_sets():
-    assert build_prefix_set(8, 0.25) == frozenset({0, 1})
-    assert build_prefix_set(8, 0.0) == frozenset()
-    assert build_prefix_set(5, 0.5) == frozenset({0, 1})  # floor of 2.5
-
-
 def _tokens(length, seed=0, vocab=64):
     return Rng(seed, 9).integers(0, vocab - 1, length).astype(np.uint32)
+
+
+def _prefix_set(length, prefix_ratio):
+    # with alpha 0 only the deterministic prefix stays visible
+    cfg = McsConfig(prefix_ratio=prefix_ratio, mask_id=63)
+    seq = sample_mask(_tokens(length), 1, cfg, Rng(0, 0), alpha=0.0)
+    return frozenset(np.flatnonzero(seq.visible).tolist())
+
+
+def test_prefix_sets():
+    assert _prefix_set(8, 0.25) == frozenset({0, 1})
+    assert _prefix_set(8, 0.0) == frozenset()
+    assert _prefix_set(5, 0.5) == frozenset({0, 1})  # floor of 2.5
+    assert _prefix_set(100, 0.29) == frozenset(range(29))  # 0.29 * 100 is 28.999... in floats
 
 
 def test_alpha_one_keeps_everything():
@@ -113,20 +118,7 @@ def test_simulate_deterministic():
 
 
 def test_unmasked_helper():
-    cfg = McsConfig(mask_id=63)
     tokens = _tokens(16)
-    seq = unmasked(tokens, cfg)
+    seq = unmasked(tokens)
     assert seq.visible.all() and seq.alpha == 1.0
     assert np.array_equal(seq.ids, tokens)
-
-
-def test_write_masked_set(tmp_path):
-    cfg = McsConfig(timesteps=2, seed=0, mask_id=63)
-    out = simulate(np.stack([_tokens(16, seed=s) for s in range(3)]), cfg)
-    ids_path, vis_path = tmp_path / "ids.qdt", tmp_path / "vis.qdt"
-    write_masked_set(ids_path, vis_path, out)
-    ids = read_tensor(ids_path)
-    vis = read_tensor(vis_path)
-    assert ids.shape == vis.shape == (6, 16)
-    assert np.array_equal(ids[0], out[0].ids)
-    assert np.array_equal(vis[0].astype(bool), out[0].visible)

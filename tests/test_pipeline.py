@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from maskquant.pipeline import (
     load_config,
     parse_config_file,
 )
-from maskquant.qformat import read_qpk
+from maskquant.qformat import MAGIC, read_qpk
 from maskquant.rng import Rng
 from maskquant.stats import load_second_moment
 
@@ -304,6 +305,35 @@ def test_cli_exit_codes(tmp_path):
         f"eval_sequences=2\ngroup_width=8\nout_dir={tmp_path / 'other'}\n"
     )
     assert main(["eval", "--config", str(other), "--qpk", str(qpk)]) == 4
+
+
+def _calib_on(tmp_path, tokens):
+    write_tensor(tmp_path / "tokens.qdt", tokens)
+    return ["calib", "--calib", str(tmp_path / "tokens.qdt"), "--out", str(tmp_path / "o")]
+
+
+def _tokens_with_mask_id(tmp_path):
+    return _calib_on(tmp_path, np.full((2, 32), 63, dtype=np.uint32))
+
+
+def _tokens_without_rows(tmp_path):
+    return _calib_on(tmp_path, np.zeros((0, 32), dtype=np.uint32))
+
+
+def _qpk_with_non_utf8_name(tmp_path):
+    path = tmp_path / "bad.qpk"
+    path.write_bytes(MAGIC + struct.pack("<IH", 1, 2) + b"\xff\xfe")
+    return ["estimate-mem", "--qpk", str(path)]
+
+
+@pytest.mark.parametrize(
+    "make_args, code",
+    [(_tokens_with_mask_id, 4), (_tokens_without_rows, 4), (_qpk_with_non_utf8_name, 3)],
+)
+def test_cli_bad_inputs_exit_with_one_line(tmp_path, capsys, make_args, code):
+    assert main(make_args(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_flag_overrides(tmp_path):
