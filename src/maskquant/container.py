@@ -13,6 +13,7 @@ points reject them separately.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -79,7 +80,11 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
         raise PayloadSizeError(f"{path}: truncated dims")
     dims = struct.unpack_from(f"<{ndim}Q", raw, 9)
     dtype = _DTYPE_FOR_CODE[code]
-    expected = int(np.prod(dims, dtype=np.uint64)) * dtype.itemsize
+    # exact products: in 64 bits they wrap; numpy also refuses a shape whose
+    # nonzero dims multiply past its index range, even when another dim is 0
+    if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise PayloadSizeError(f"{path}: implausible dims {dims}")
+    expected = math.prod(dims) * dtype.itemsize
     if len(raw) - dims_end != expected:
         raise PayloadSizeError(
             f"{path}: payload is {len(raw) - dims_end} bytes, header implies {expected}"

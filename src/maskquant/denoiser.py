@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .container import read_tensor, write_tensor
+from .container import ContainerError, read_tensor, write_tensor
 from .errors import ShapeError
 from .mcs import MaskedSequence
 from .rng import Rng
@@ -38,6 +38,8 @@ class ToyModelSpec:
         for name in ("vocab", "d_model", "d_hidden", "n_blocks", "seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.vocab < 2:
+            raise ValueError("vocab must be at least 2: the last id is the mask id")
 
     @property
     def mask_id(self) -> int:
@@ -64,33 +66,32 @@ class ToyModel:
         return [f"block{b}.{p}" for b in range(self.spec.n_blocks) for p in ("up", "down")]
 
 
+def _tensor_shapes(spec: ToyModelSpec) -> dict[str, tuple[int, int]]:
+    """Every weight tensor of the model by name, in stream order."""
+    shapes = {"embedding": (spec.vocab, spec.d_model)}
+    for b in range(spec.n_blocks):
+        shapes[f"block{b}.up"] = (spec.d_hidden, spec.d_model)
+        shapes[f"block{b}.down"] = (spec.d_model, spec.d_hidden)
+    shapes["out_proj"] = (spec.vocab, spec.d_model)
+    if spec.positional:
+        shapes["positional"] = (spec.seq_len, spec.d_model)
+    return shapes
+
+
+def _assemble(spec: ToyModelSpec, tensors: dict[str, np.ndarray]) -> ToyModel:
+    embedding = tensors.pop("embedding")
+    positional = tensors.pop("positional", None)
+    return ToyModel(spec, embedding, tensors, positional)
+
+
 def init_model(spec: ToyModelSpec) -> ToyModel:
     """Gaussian weights scaled by 1/sqrt(fan_in), one stream per tensor."""
-    emb_rng = Rng(spec.seed, MODEL_STREAM_BASE)
-    embedding = (
-        emb_rng.gaussian((spec.vocab, spec.d_model)) / np.sqrt(spec.d_model)
-    ).astype(np.float32)
-    layers: dict[str, np.ndarray] = {}
-    stream = MODEL_STREAM_BASE + 1
-    for b in range(spec.n_blocks):
-        for name, shape in (
-            (f"block{b}.up", (spec.d_hidden, spec.d_model)),
-            (f"block{b}.down", (spec.d_model, spec.d_hidden)),
-        ):
-            rng = Rng(spec.seed, stream)
-            stream += 1
-            layers[name] = (rng.gaussian(shape) / np.sqrt(shape[1])).astype(np.float32)
-    rng = Rng(spec.seed, stream)
-    layers["out_proj"] = (
-        rng.gaussian((spec.vocab, spec.d_model)) / np.sqrt(spec.d_model)
-    ).astype(np.float32)
-    positional = None
-    if spec.positional:
-        rng = Rng(spec.seed, MODEL_STREAM_BASE + 100)
-        positional = (
-            rng.gaussian((spec.seq_len, spec.d_model)) / np.sqrt(spec.d_model)
-        ).astype(np.float32)
-    return ToyModel(spec, embedding, layers, positional)
+    tensors = {}
+    for i, (name, shape) in enumerate(_tensor_shapes(spec).items()):
+        stream = MODEL_STREAM_BASE + (100 if name == "positional" else i)
+        rng = Rng(spec.seed, stream)
+        tensors[name] = (rng.gaussian(shape) / np.sqrt(shape[1])).astype(np.float32)
+    return _assemble(spec, tensors)
 
 
 def forward(
@@ -207,32 +208,51 @@ def save_model(model: ToyModel, dir_path: str | os.PathLike) -> None:
 
 
 def load_model(dir_path: str | os.PathLike) -> ToyModel:
+    """Inverse of :func:`save_model`. A manifest that does not describe a
+    valid model raises ContainerError; a tensor whose shape disagrees with
+    the manifest raises ShapeError."""
     root = Path(dir_path)
+    manifest = root / _MANIFEST
     meta: dict[str, str] = {}
     tensor_files: dict[str, str] = {}
-    for line in (root / _MANIFEST).read_text().splitlines():
+    try:
+        text = manifest.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise ContainerError(f"{manifest}: not UTF-8 text") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         if "\t" in line:
             name, fname = line.split("\t", 1)
             tensor_files[name] = fname
-        else:
+        elif "=" in line:
             key, value = line.split("=", 1)
             meta[key] = value
-    spec = ToyModelSpec(
-        vocab=int(meta["vocab"]),
-        d_model=int(meta["d_model"]),
-        d_hidden=int(meta["d_hidden"]),
-        n_blocks=int(meta["n_blocks"]),
-        seq_len=int(meta["seq_len"]),
-        seed=int(meta["seed"]),
-        positional=meta.get("positional", "false") == "true",
-    )
-    tensors = {name: read_tensor(root / fname) for name, fname in tensor_files.items()}
-    embedding = tensors.pop("embedding").astype(np.float32)
-    positional = tensors.pop("positional", None)
-    if positional is not None:
-        positional = positional.astype(np.float32)
-    layers = {name: arr.astype(np.float32) for name, arr in tensors.items()}
-    return ToyModel(spec, embedding, layers, positional)
+        else:
+            raise ContainerError(f"{manifest}:{lineno}: expected key=value or name<TAB>file")
+    ints = ("vocab", "d_model", "d_hidden", "n_blocks", "seq_len", "seed")
+    missing = [key for key in ints if key not in meta]
+    if missing:
+        raise ContainerError(f"{manifest}: missing {', '.join(missing)}")
+    positional = meta.get("positional", "false")
+    if positional not in ("true", "false"):
+        raise ContainerError(f"{manifest}: positional must be true or false, got {positional!r}")
+    try:
+        spec = ToyModelSpec(**{key: int(meta[key]) for key in ints}, positional=positional == "true")
+    except ValueError as exc:
+        raise ContainerError(f"{manifest}: {exc}") from None
+    shapes = _tensor_shapes(spec)
+    missing = [name for name in shapes if name not in tensor_files]
+    if missing:
+        raise ContainerError(f"{manifest}: no entry for {', '.join(missing)}")
+    unknown = [name for name in tensor_files if name not in shapes]
+    if unknown:
+        raise ContainerError(f"{manifest}: unexpected entries {', '.join(unknown)}")
+    tensors = {}
+    for name, shape in shapes.items():
+        arr = read_tensor(root / tensor_files[name])
+        if arr.shape != shape:
+            raise ShapeError(f"{name}: tensor has shape {arr.shape}, the manifest implies {shape}")
+        tensors[name] = arr.astype(np.float32)
+    return _assemble(spec, tensors)

@@ -68,6 +68,7 @@ class PipelineConfig:
         try:
             daq.DaqConfig(order=self.order, sweeps=self.sweeps, tol=self.tol, epsilon=self.epsilon)
             mcs.McsConfig(timesteps=self.timesteps, prefix_ratio=self.prefix_ratio, seed=self.seed)
+            self.model_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not 0.0 <= self.ratio <= 0.5:

@@ -86,8 +86,10 @@ def unpack_signs(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")
     if bits[rows * cols :].any():
         raise QpkFormatError("nonzero padding bits in sign plane")
-    plane = bits[: rows * cols].reshape(rows, cols)
-    return np.where(plane, 1, -1).astype(np.int8)
+    signs = bits[: rows * cols].view(np.int8)
+    signs *= 2  # 0/1 -> -1/+1 in place: no wider temporary
+    signs -= 1
+    return signs.reshape(rows, cols)
 
 
 @dataclass
@@ -109,24 +111,29 @@ class QpkLayer:
     row_mean: np.ndarray | None  # (rows,) float16
     groups: list[PackedGroup]
 
-    def column_ranges(self) -> list[tuple[int, int]]:
-        ranges = []
-        start = 0
-        for g in self.groups:
-            ranges.append((start, start + g.cols))
-            start += g.cols
-        return ranges
+
+def _half(values, what: str) -> np.ndarray:
+    """Cast to float16 for storage; a value the cast cannot hold is an error.
+
+    The check follows the cast because values just above 65504 still round
+    to it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.asarray(values, dtype=np.float16)
+    if not np.isfinite(half).all():
+        raise QpkFormatError(f"{what} exceed the float16 range")
+    return half
 
 
-def pack_group(group: QuantizedGroup) -> PackedGroup:
+def pack_group(group: QuantizedGroup, name: str) -> PackedGroup:
     rows, cols = group.shape
     return PackedGroup(
         rows=rows,
         cols=cols,
         order=len(group.orders),
         planes=np.stack([pack_signs(term.signs) for term in group.orders]),
-        alpha_r=np.stack([term.alpha_r.astype(np.float16) for term in group.orders]),
-        alpha_c=np.stack([term.alpha_c.astype(np.float16) for term in group.orders]),
+        alpha_r=_half([term.alpha_r for term in group.orders], f"layer {name!r}: row scales"),
+        alpha_c=_half([term.alpha_c for term in group.orders], f"layer {name!r}: column scales"),
     )
 
 
@@ -147,7 +154,7 @@ def build_layer(
         raise ShapeError("group widths do not sum to the layer's columns")
     mean16 = None
     if row_mean is not None:
-        mean16 = np.asarray(row_mean, dtype=np.float16)
+        mean16 = _half(row_mean, f"layer {name!r}: row means")
         if mean16.shape != (rows,):
             raise ShapeError(f"row_mean shape {mean16.shape}, expected ({rows},)")
     return QpkLayer(
@@ -156,27 +163,26 @@ def build_layer(
         cols=cols,
         group_width=group_width,
         row_mean=mean16,
-        groups=[pack_group(g) for g in groups],
+        groups=[pack_group(g, name) for g in groups],
     )
 
 
-def dequantize_group(group: PackedGroup) -> np.ndarray:
-    """Widen scales to float32 and sum the sign terms; no row mean."""
-    out = np.zeros((group.rows, group.cols), dtype=np.float32)
-    for k in range(group.order):
-        signs = unpack_signs(group.planes[k], group.rows, group.cols)
-        scale = np.outer(
-            group.alpha_r[k].astype(np.float32), group.alpha_c[k].astype(np.float32)
-        )
-        out += scale * signs
-    return out
+def _terms(layer: QpkLayer):
+    """Yield (column slice, alpha_r, alpha_c, signs) for every binary term
+    of the layer in file order; scales stay float16 as stored."""
+    start = 0
+    for g in layer.groups:
+        cols = slice(start, start + g.cols)
+        for k in range(g.order):
+            yield cols, g.alpha_r[k], g.alpha_c[k], unpack_signs(g.planes[k], g.rows, g.cols)
+        start += g.cols
 
 
 def dequantize(layer: QpkLayer) -> np.ndarray:
-    """Full layer reconstruction including the stored row mean."""
+    """Full layer reconstruction in float32, including the stored row mean."""
     out = np.zeros((layer.rows, layer.cols), dtype=np.float32)
-    for (start, end), group in zip(layer.column_ranges(), layer.groups):
-        out[:, start:end] = dequantize_group(group)
+    for cols, alpha_r, alpha_c, signs in _terms(layer):
+        out[:, cols] += np.outer(alpha_r.astype(np.float32), alpha_c.astype(np.float32)) * signs
     if layer.row_mean is not None:
         out += layer.row_mean.astype(np.float32)[:, None]
     return out
@@ -186,9 +192,8 @@ def rc_matvec(layer: QpkLayer, x: np.ndarray) -> np.ndarray:
     """Multiply the packed layer by a vector without materializing it.
 
     Per term, the column scales fold into the input once (v = alpha_c * x),
-    and the bit plane contributes masked adds: sum_j B_ij v_j =
-    2 * (plane @ v) - sum(v). Matches dense dequantize-then-multiply to
-    float rounding.
+    the decoded signs multiply v, and the row scales scale the result, all
+    in float64. Matches dense dequantize-then-multiply to float rounding.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (layer.cols,):
@@ -196,13 +201,8 @@ def rc_matvec(layer: QpkLayer, x: np.ndarray) -> np.ndarray:
     y = np.zeros(layer.rows, dtype=np.float64)
     if layer.row_mean is not None:
         y += layer.row_mean.astype(np.float64) * x.sum()
-    for (start, end), group in zip(layer.column_ranges(), layer.groups):
-        xg = x[start:end]
-        for k in range(group.order):
-            plane = unpack_signs(group.planes[k], group.rows, group.cols) > 0
-            v = group.alpha_c[k].astype(np.float64) * xg
-            row_dot = 2.0 * (plane @ v) - v.sum()
-            y += group.alpha_r[k].astype(np.float64) * row_dot
+    for cols, alpha_r, alpha_c, signs in _terms(layer):
+        y += alpha_r.astype(np.float64) * (signs @ (alpha_c.astype(np.float64) * x[cols]))
     return y
 
 
@@ -245,11 +245,13 @@ class _Reader:
         return layout.unpack(self.take(layout.size))
 
 
-def _read_group(rd: _Reader, rows: int, cols: int, order: int) -> PackedGroup:
+def _read_group(rd: _Reader, name: str, rows: int, cols: int, order: int) -> PackedGroup:
     body = rd.take(_group_nbytes(rows, cols, order) - _GROUP_HEADER.size)
     words = _plane_words(rows, cols)
     planes = np.frombuffer(body, dtype="<u8", count=order * words).reshape(order, words)
     scales = np.frombuffer(body, dtype="<f2", offset=planes.nbytes)
+    if not np.isfinite(scales).all():
+        raise QpkFormatError(f"{rd.label}: non-finite scale in layer {name!r}")
     for k in range(order):
         unpack_signs(planes[k], rows, cols)  # validates padding bits
     return PackedGroup(
@@ -281,6 +283,8 @@ def read_qpk(path: str | os.PathLike) -> list[QpkLayer]:
         row_mean = None
         if has_mean == 1:
             row_mean = np.frombuffer(rd.take(2 * rows), dtype="<f2").copy()
+            if not np.isfinite(row_mean).all():
+                raise QpkFormatError(f"{path}: non-finite row mean in layer {name!r}")
         elif has_mean != 0:
             raise QpkFormatError(f"{path}: bad row-mean flag {has_mean}")
         (num_groups,) = rd.unpack(_GROUP_COUNT)
@@ -292,7 +296,7 @@ def read_qpk(path: str | os.PathLike) -> list[QpkLayer]:
                 raise QpkFormatError(f"{path}: bad order {order} in layer {name!r}")
             if g_cols < 1 or covered + g_cols > cols:
                 raise QpkFormatError(f"{path}: group overruns layer {name!r}")
-            groups.append(_read_group(rd, rows, g_cols, order))
+            groups.append(_read_group(rd, name, rows, g_cols, order))
             covered += g_cols
         if covered != cols:
             raise QpkFormatError(f"{path}: groups cover {covered} of {cols} columns")

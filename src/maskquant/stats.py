@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_tensor, write_tensor
+from .container import ContainerError, read_tensor, write_tensor
 from .errors import ShapeError
 
 
@@ -60,7 +60,12 @@ def load_second_moment(path: str | os.PathLike) -> SecondMoment:
         raise ShapeError(f"{path}: not a square matrix")
     sm = SecondMoment(gram.shape[0])
     sm.gram = gram.astype(np.float64)
-    sm.count = int(Path(str(path) + ".count").read_text().strip())
+    count_path = str(path) + ".count"
+    raw = Path(count_path).read_bytes().strip()
+    if not raw.isdigit():  # ASCII digits only, so no sign, no point, no other script
+        text = raw.decode(errors="replace")
+        raise ContainerError(f"{count_path}: token count {text!r} is not a non-negative integer")
+    sm.count = int(raw)
     return sm
 
 

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskquant.container import (
     BadDtypeError,
@@ -119,3 +121,44 @@ def test_nonfinite_rejected_on_read(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(ContainerError):
         write_tensor(tmp_path / "x.qdt", np.zeros(3, dtype=np.int64))
+
+
+def test_dims_whose_product_overflows_u64_rejected(tmp_path):
+    path = tmp_path / "big.qdt"
+    write_tensor(path, np.zeros((0, 4), dtype=np.float32))
+    raw = bytearray(path.read_bytes())
+    raw[9 + 7] |= 0x40  # dims (2**62, 4): a product taken in 64 bits wraps to 0
+    path.write_bytes(bytes(raw))
+    with pytest.raises(PayloadSizeError):
+        read_tensor(path)
+
+
+@pytest.fixture(scope="module")
+def valid_tensors(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i, arr in enumerate([
+        np.arange(6, dtype=np.float32).reshape(2, 3),
+        np.linspace(-1.0, 1.0, 4),
+        np.arange(8, dtype=np.uint32).reshape(2, 2, 2),
+        np.zeros((0, 4), dtype=np.float32),
+    ]):
+        paths.append(root / f"valid{i}.qdt")
+        write_tensor(paths[-1], arr)
+    return paths
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_read_tensor_damaged_bytes_raise_only_container_errors(valid_tensors, data):
+    valid = data.draw(st.sampled_from(valid_tensors))
+    raw = bytearray(valid.read_bytes())
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), max_size=3)):
+        raw[bit // 8] ^= 1 << (bit % 8)
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(raw) - 1)))
+    path = valid.with_name("damaged.qdt")
+    path.write_bytes(bytes(raw if cut is None else raw[:cut]))
+    try:
+        read_tensor(path)
+    except ContainerError:
+        pass

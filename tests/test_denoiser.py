@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maskquant.container import ContainerError, write_tensor
 from maskquant.daq import DaqConfig, daq_fit
 from maskquant.denoiser import (
     ToyModelSpec,
@@ -160,3 +161,36 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(back.layers[name], model.layers[name])
     ids = Rng(3, 0).integers(0, 63, 16).astype(np.uint32)
     assert np.array_equal(forward(model, ids)[0], forward(back, ids)[0])
+
+
+def _edit_manifest(root, old, new):
+    manifest = root / "manifest.txt"
+    text = manifest.read_text()
+    assert old in text
+    manifest.write_text(text.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("d_model=32\n", ""),                       # missing key
+        ("d_model=32", "d_model=wide"),             # malformed value
+        ("d_model=32", "d_model=0"),                # invalid spec
+        ("positional=false", "positional=maybe"),
+        ("embedding\tembedding.qdt\n", ""),         # missing entry
+        ("seed=0\n", "seed=0\nextra\tembedding.qdt\n"),
+        ("seed=0\n", "seed=0\nno separator\n"),
+    ],
+)
+def test_load_rejects_malformed_manifest(tmp_path, old, new):
+    save_model(_model(), tmp_path / "m")
+    _edit_manifest(tmp_path / "m", old, new)
+    with pytest.raises(ContainerError):
+        load_model(tmp_path / "m")
+
+
+def test_load_rejects_tensor_of_wrong_shape(tmp_path):
+    save_model(_model(), tmp_path / "m")
+    write_tensor(tmp_path / "m" / "out_proj.qdt", np.zeros((64, 31), dtype=np.float32))
+    with pytest.raises(ShapeError, match="out_proj"):
+        load_model(tmp_path / "m")

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from maskquant.cli import main
-from maskquant.container import write_tensor
+from maskquant.container import read_tensor, write_tensor
+from maskquant.daq import DaqConfig, daq_fit
+from maskquant.denoiser import init_model, save_model
 from maskquant.errors import ConfigError
 from maskquant.pipeline import (
     PipelineConfig,
@@ -20,7 +22,7 @@ from maskquant.pipeline import (
     load_config,
     parse_config_file,
 )
-from maskquant.qformat import MAGIC, read_qpk
+from maskquant.qformat import MAGIC, build_layer, read_qpk, write_qpk
 from maskquant.rng import Rng
 from maskquant.stats import load_second_moment
 
@@ -211,7 +213,6 @@ def test_identity_injection_gives_zero_divergence(tmp_path):
 
 
 def test_pipeline_accepts_external_weight_directory(tmp_path):
-    from maskquant.denoiser import init_model, save_model
     from maskquant.pipeline import get_model
 
     spec_cfg = _cfg(tmp_path)
@@ -326,9 +327,82 @@ def _qpk_with_non_utf8_name(tmp_path):
     return ["estimate-mem", "--qpk", str(path)]
 
 
+def _model_dir_run(tmp_path, edit):
+    """CLI config on a saved copy of its own model, with `edit(weights_dir)`
+    applied to the saved files; returns the config path."""
+    cfg_path = _cli_config(tmp_path)
+    weights = tmp_path / "weights"
+    save_model(init_model(load_config(cfg_path).model_spec()), weights)
+    edit(weights)
+    with cfg_path.open("a") as f:
+        f.write(f"model_dir={weights}\n")
+    return cfg_path
+
+
+def _weights_beyond_float16(tmp_path):
+    def scale_up(weights):
+        path = weights / "block0.up.qdt"
+        write_tensor(path, read_tensor(path) * np.float32(1e6))
+
+    cfg_path = _model_dir_run(tmp_path, scale_up)
+    assert main(["calib", "--config", str(cfg_path)]) == 0
+    return ["quantize", "--config", str(cfg_path)]
+
+
+def _qpk_with_infinite_scale(tmp_path):
+    group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1, row_center=False))
+    path = tmp_path / "inf.qpk"
+    write_qpk(path, [build_layer("w", [group], 6, 6)])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-2] + np.float16(np.inf).astype("<f2").tobytes())  # last alpha_c
+    return ["estimate-mem", "--qpk", str(path)]
+
+
+def _stats_count_not_a_number(tmp_path):
+    cfg_path = _cli_config(tmp_path)
+    assert main(["calib", "--config", str(cfg_path)]) == 0
+    (tmp_path / "cli" / "stats" / "block0.up.qdt.count").write_text("abc\n")
+    return ["quantize", "--config", str(cfg_path)]
+
+
+def _manifest_without_dims(tmp_path):
+    cfg_path = _model_dir_run(tmp_path, lambda w: (w / "manifest.txt").write_text("vocab=64\n"))
+    return ["calib", "--config", str(cfg_path)]
+
+
+def _tensor_of_wrong_shape(tmp_path):
+    def reshape(weights):
+        write_tensor(weights / "block0.up.qdt", np.ones((5, 7), dtype=np.float32))
+
+    return ["calib", "--config", str(_model_dir_run(tmp_path, reshape))]
+
+
+def _config_with(line):
+    def make_args(tmp_path):
+        cfg_path = _cli_config(tmp_path)
+        with cfg_path.open("a") as f:
+            f.write(line + "\n")
+        return ["calib", "--config", str(cfg_path)]
+
+    return make_args
+
+
 @pytest.mark.parametrize(
     "make_args, code",
-    [(_tokens_with_mask_id, 4), (_tokens_without_rows, 4), (_qpk_with_non_utf8_name, 3)],
+    [
+        (_tokens_with_mask_id, 4),
+        (_tokens_without_rows, 4),
+        (_qpk_with_non_utf8_name, 3),
+        (_weights_beyond_float16, 3),
+        (_qpk_with_infinite_scale, 3),
+        (_stats_count_not_a_number, 3),
+        (_manifest_without_dims, 3),
+        (_tensor_of_wrong_shape, 4),
+    ]
+    + [
+        pytest.param(_config_with(line), 2, id=line)
+        for line in ("d_model=0", "d_hidden=-3", "seq_len=0", "n_blocks=0", "vocab=1")
+    ],
 )
 def test_cli_bad_inputs_exit_with_one_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code

@@ -224,3 +224,54 @@ def test_memory_estimate_ratio_invariant():
     uniform = LayerShape("w", 512, 512, 128, 2)
     mixed = LayerShape("w", 512, 512, 128, [3, 2, 2, 1])
     assert memory_estimate([uniform]) == memory_estimate([mixed])
+
+
+def test_build_layer_rejects_values_beyond_float16():
+    group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1, row_center=False))
+    layer = build_layer("w", [group], 6, 6, np.full(4, 65519.0))  # rounds to the finite max
+    assert (layer.row_mean == np.float16(65504)).all()
+    with pytest.raises(QpkFormatError, match="'w': row means"):
+        build_layer("w", [group], 6, 6, np.full(4, 65520.0))
+    huge = daq_fit(np.full((4, 6), 1e10, dtype=np.float32), cfg=DaqConfig(order=1, row_center=False))
+    with pytest.raises(QpkFormatError, match="'w'.*float16"):
+        build_layer("w", [huge], 6, 6)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["row_mean", "alpha_c"])
+def test_read_rejects_non_finite_halves(tmp_path, where, value):
+    group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1, row_center=False))
+    path = tmp_path / "m.qpk"
+    write_qpk(path, [build_layer("w", [group], 6, 6, np.zeros(4))])
+    raw = bytearray(path.read_bytes())
+    # the row means follow the 36-byte file and layer header; alpha_c ends the file
+    at = 36 if where == "row_mean" else len(raw) - 2
+    raw[at : at + 2] = np.float16(value).astype("<f2").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(QpkFormatError, match="non-finite"):
+        read_qpk(path)
+
+
+@pytest.fixture(scope="module")
+def valid_qpk(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "valid.qpk"
+    write_qpk(path, [
+        _fit_layer("block0.up", 6, 10, seed=15, group_width=4, order=3),
+        _fit_layer("b", 3, 5, seed=16, row_center=False, order=1),
+    ])
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_read_qpk_damaged_bytes_raise_only_format_errors(valid_qpk, data):
+    raw = bytearray(valid_qpk.read_bytes())
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), max_size=3)):
+        raw[bit // 8] ^= 1 << (bit % 8)
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(raw) - 1)))
+    path = valid_qpk.with_name("damaged.qpk")
+    path.write_bytes(bytes(raw if cut is None else raw[:cut]))
+    try:
+        read_qpk(path)
+    except QpkFormatError:
+        pass

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskquant.container import ContainerError
 from maskquant.errors import ShapeError
 from maskquant.rng import Rng
 from maskquant.stats import (
@@ -75,6 +76,14 @@ def test_save_load_roundtrip(tmp_path):
     back = load_second_moment(tmp_path / "s.qdt")
     assert np.array_equal(back.gram, sm.gram)
     assert back.count == sm.count
+
+
+@pytest.mark.parametrize("text", ["abc", "-1", "1.5", "", "1e3", "\xb2"])
+def test_load_rejects_count_that_is_not_a_non_negative_integer(tmp_path, text):
+    save_second_moment(_moment(np.eye(3)), tmp_path / "s.qdt")
+    (tmp_path / "s.qdt.count").write_text(text + "\n")
+    with pytest.raises(ContainerError, match="non-negative integer"):
+        load_second_moment(tmp_path / "s.qdt")
 
 
 def test_damped_inverse_identity():
