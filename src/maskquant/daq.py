@@ -136,16 +136,12 @@ def _rc_init(x: np.ndarray):
     return alpha_r, alpha_c, signs
 
 
-def update_alpha_r(x, signs, alpha_c, lam=None, epsilon: float = 1e-8) -> np.ndarray:
-    """Closed-form row-scale refit with the carrier and column scales fixed.
-
-    Each row scale is the weighted least-squares coefficient of the target
-    against signs * alpha_c along that row; epsilon keeps empty denominators
-    finite.
-    """
+def _row_scales(x, signs, scales, lam, epsilon: float) -> np.ndarray:
+    """Each row's weighted least-squares coefficient of `x` against
+    signs * scales along that row; epsilon keeps empty denominators finite."""
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(signs, dtype=np.float64)
-    c = np.asarray(alpha_c, dtype=np.float64)
+    c = np.asarray(scales, dtype=np.float64)
     lam2 = _squared_weights(lam, x.shape)
     if lam2 is None:
         num = (x * b) @ c
@@ -156,19 +152,16 @@ def update_alpha_r(x, signs, alpha_c, lam=None, epsilon: float = 1e-8) -> np.nda
     return num / (den + epsilon)
 
 
+def update_alpha_r(x, signs, alpha_c, lam=None, epsilon: float = 1e-8) -> np.ndarray:
+    """Closed-form row-scale refit with the carrier and column scales fixed."""
+    return _row_scales(x, signs, alpha_c, lam, epsilon)
+
+
 def update_alpha_c(x, signs, alpha_r, lam=None, epsilon: float = 1e-8) -> np.ndarray:
-    """Column counterpart of :func:`update_alpha_r`."""
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(signs, dtype=np.float64)
-    r = np.asarray(alpha_r, dtype=np.float64)
-    lam2 = _squared_weights(lam, x.shape)
-    if lam2 is None:
-        num = (x * b).T @ r
-        den = np.full(x.shape[1], (r * r).sum())
-    else:
-        num = (lam2 * x * b).T @ r
-        den = lam2.T @ (r * r)
-    return num / (den + epsilon)
+    """Closed-form column-scale refit with the carrier and row scales fixed:
+    the row refit of the transposed problem."""
+    lam_t = None if lam is None else np.transpose(lam)
+    return _row_scales(np.transpose(x), np.transpose(signs), alpha_r, lam_t, epsilon)
 
 
 def _sign_candidates(order: int) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .container import ContainerError, read_tensor, write_tensor
 from .errors import ShapeError
-from .mcs import MaskedSequence
 from .rng import Rng
 
 MODEL_STREAM_BASE = 1 << 32
@@ -94,21 +93,15 @@ def init_model(spec: ToyModelSpec) -> ToyModel:
     return _assemble(spec, tensors)
 
 
-def forward(
-    model: ToyModel,
-    seq: MaskedSequence | np.ndarray,
-    capture: bool = False,
-    overrides: Mapping[str, np.ndarray] | None = None,
-):
-    """Run the denoiser on one sequence.
+def forward(model: ToyModel, ids: np.ndarray, overrides: Mapping[str, np.ndarray] | None = None):
+    """Run the denoiser on one 1-D token-id array.
 
-    Returns (logits, inputs): logits is (vocab, L); when capture is set,
-    inputs maps each linear layer's name to the exact (features, L) matrix
-    it was multiplied with, else it is None.
-    `overrides` substitutes weight matrices by layer name, used to evaluate
-    quantized variants without touching the model.
+    Returns (logits, inputs): logits is (vocab, L), and inputs maps each
+    linear layer's name to the exact (features, L) matrix it was multiplied
+    with. `overrides` substitutes weight matrices by layer name, used to
+    evaluate quantized variants without touching the model.
     """
-    ids = seq.ids if isinstance(seq, MaskedSequence) else np.asarray(seq)
+    ids = np.asarray(ids)
     if ids.ndim != 1 or ids.size == 0:
         raise ShapeError("sequence must be a nonempty 1-D id array")
     if ids.size > model.spec.seq_len:
@@ -127,22 +120,17 @@ def forward(
     def weight(name: str) -> np.ndarray:
         return overrides.get(name, model.layers[name])
 
-    inputs: dict[str, np.ndarray] | None = {} if capture else None
+    inputs: dict[str, np.ndarray] = {}
     h = model.embedding[ids].T.copy()  # (d_model, L)
     if model.positional is not None:
         h = h + model.positional[: ids.size].T
     for b in range(model.spec.n_blocks):
         up, down = f"block{b}.up", f"block{b}.down"
-        if inputs is not None:
-            inputs[up] = h
         u = np.maximum(weight(up) @ h, 0.0)
-        if inputs is not None:
-            inputs[down] = u
+        inputs[up], inputs[down] = h, u
         h = h + weight(down) @ u
-    if inputs is not None:
-        inputs["out_proj"] = h
-    logits = weight("out_proj") @ h
-    return logits, inputs
+    inputs["out_proj"] = h
+    return weight("out_proj") @ h, inputs
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -153,10 +141,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def eval_divergence(
     model: ToyModel,
     quantized_layers: Mapping[str, np.ndarray],
-    eval_set: list[MaskedSequence],
+    eval_set: list[np.ndarray],
 ) -> dict[str, float]:
     """Mean squared logit error and mean per-position softmax KL between the
-    full-precision model and the model with `quantized_layers` substituted.
+    full-precision model and the model with `quantized_layers` substituted,
+    over the 1-D token-id arrays of `eval_set`.
 
     Both metrics are exactly zero when the substituted weights are the
     originals.
@@ -167,9 +156,9 @@ def eval_divergence(
     sq_count = 0
     kl_sum = 0.0
     kl_count = 0
-    for seq in eval_set:
-        ref, _ = forward(model, seq)
-        quant, _ = forward(model, seq, overrides=quantized_layers)
+    for ids in eval_set:
+        ref, _ = forward(model, ids)
+        quant, _ = forward(model, ids, overrides=quantized_layers)
         diff = (ref - quant).astype(np.float64)
         sq_sum += float((diff * diff).sum())
         sq_count += diff.size

@@ -82,19 +82,6 @@ def sample_mask(
     return MaskedSequence(ids=ids, visible=visible, t_index=t_index, alpha=float(alpha))
 
 
-def unmasked(tokens: np.ndarray) -> MaskedSequence:
-    """Fully visible copy, for calibration arms that skip masking."""
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise ValueError("tokens must be a nonempty 1-D array")
-    return MaskedSequence(
-        ids=tokens.astype(np.uint32),
-        visible=np.ones(tokens.size, dtype=bool),
-        t_index=1,
-        alpha=1.0,
-    )
-
-
 def simulate(sequences, cfg: McsConfig) -> list[MaskedSequence]:
     """Build the calibration set: one masked copy per (sequence, timestep).
 

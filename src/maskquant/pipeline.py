@@ -10,6 +10,7 @@ for ablations.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import abmp, daq, mcs, qformat, stats
-from .container import read_tensor
+from .container import ContainerError, read_tensor
 from .denoiser import ToyModel, ToyModelSpec, eval_divergence, forward, init_model, load_model
 from .errors import ConfigError, ShapeError
 from .rng import Rng
@@ -217,46 +218,85 @@ def calibration_tokens(cfg: PipelineConfig, spec: ToyModelSpec) -> np.ndarray:
     return rng.integers(0, spec.mask_id, (cfg.calib_sequences, spec.seq_len)).astype(np.uint32)
 
 
-def _eval_set(cfg: PipelineConfig, spec: ToyModelSpec) -> list[mcs.MaskedSequence]:
+def _eval_set(cfg: PipelineConfig, spec: ToyModelSpec) -> list[np.ndarray]:
     eval_seed = cfg.seed ^ _EVAL_SEED_SALT
     rng = Rng(eval_seed, EVAL_TOKEN_STREAM)
     tokens = rng.integers(0, spec.mask_id, (cfg.eval_sequences, spec.seq_len)).astype(np.uint32)
-    return mcs.simulate(tokens, cfg.mcs_config(spec.mask_id, seed=eval_seed))
+    return [m.ids for m in mcs.simulate(tokens, cfg.mcs_config(spec.mask_id, seed=eval_seed))]
 
 
 # --- pipeline stages ----------------------------------------------------------
 
 
+_FINGERPRINT = "fingerprint.sha256"
+
+
+def _stats_path(cfg: PipelineConfig, name: str) -> Path:
+    return cfg.stats_dir / f"{name}.qdt"
+
+
+def _calib_fingerprint(cfg: PipelineConfig, model: ToyModel, tokens: np.ndarray) -> str:
+    """sha256 over everything the statistics depend on: the model weights,
+    the calibration tokens and the masking settings."""
+    h = hashlib.sha256()
+    named = {"embedding": model.embedding, **model.layers, "positional": model.positional}
+    named["tokens"] = tokens
+    for name, arr in named.items():
+        if arr is not None:
+            h.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+            h.update(np.ascontiguousarray(arr))
+    masking = {"use_mcs": cfg.use_mcs}
+    if cfg.use_mcs:
+        masking.update(timesteps=cfg.timesteps, prefix_ratio=cfg.prefix_ratio, seed=cfg.seed)
+    h.update(json.dumps(masking, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def cmd_calib(cfg: PipelineConfig) -> Path:
-    """Accumulate one second-moment file per targeted layer."""
+    """Accumulate one second-moment file per targeted layer, plus the
+    fingerprint of what they were accumulated from."""
     model = get_model(cfg)
     names = target_layers(cfg, model)
     tokens = calibration_tokens(cfg, model.spec)
     if cfg.use_mcs:
-        masked = mcs.simulate(tokens, cfg.mcs_config(model.spec.mask_id))
+        sequences = [m.ids for m in mcs.simulate(tokens, cfg.mcs_config(model.spec.mask_id))]
     else:
-        masked = [mcs.unmasked(row) for row in tokens]
+        sequences = tokens  # calibration_tokens has already rejected the mask id
     moments = {name: stats.SecondMoment(model.layers[name].shape[1]) for name in names}
-    for seq in masked:
-        _, inputs = forward(model, seq, capture=True)
+    for ids in sequences:
+        _, inputs = forward(model, ids)
         for name, sm in moments.items():
             sm.accumulate(inputs[name])
     cfg.stats_dir.mkdir(parents=True, exist_ok=True)
+    fingerprint = cfg.stats_dir / _FINGERPRINT
+    fingerprint.unlink(missing_ok=True)  # a half-rewritten directory matches nothing
     for name, sm in moments.items():
-        stats.save_second_moment(sm, cfg.stats_dir / f"{name}.qdt")
+        stats.save_second_moment(sm, _stats_path(cfg, name))
+    fingerprint.write_text(_calib_fingerprint(cfg, model, tokens) + "\n")
     return cfg.stats_dir
 
 
-def _load_stats(cfg: PipelineConfig, names: list[str]) -> dict[str, stats.SecondMoment]:
-    loaded = {}
-    for name in names:
-        path = cfg.stats_dir / f"{name}.qdt"
+def _load_stats(
+    cfg: PipelineConfig, model: ToyModel, names: list[str]
+) -> dict[str, stats.SecondMoment]:
+    """Per-layer statistics, refused unless `calib` accumulated them from this
+    config's model, calibration tokens and masking settings."""
+    paths = {name: _stats_path(cfg, name) for name in names}
+    for name, path in paths.items():
         if not path.exists():
             raise FileNotFoundError(
                 f"statistics for layer {name!r} not found at {path}; run calib first"
             )
-        loaded[name] = stats.load_second_moment(path)
-    return loaded
+    fingerprint = cfg.stats_dir / _FINGERPRINT
+    if not fingerprint.exists():
+        raise ConfigError(f"{fingerprint} is missing; rerun calib with this config")
+    expected = _calib_fingerprint(cfg, model, calibration_tokens(cfg, model.spec))
+    if fingerprint.read_bytes().strip() != expected.encode():
+        raise ConfigError(
+            f"statistics in {cfg.stats_dir} were calibrated with another model, other "
+            "calibration tokens or other masking settings; rerun calib with this config"
+        )
+    return {name: stats.load_second_moment(path) for name, path in paths.items()}
 
 
 def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
@@ -265,7 +305,11 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
     lam = None
     outlier_fraction = None
     if cfg.use_dor or cfg.use_abmp:
-        inv_diag = stats.damped_inverse_diag(sm, cfg.damp_rel)
+        try:
+            inv_diag = stats.damped_inverse_diag(sm, cfg.damp_rel)
+        except ValueError as exc:
+            path = _stats_path(cfg, name)
+            raise ContainerError(f"{path}: {exc} (damp_rel={cfg.damp_rel:g})") from exc
         importance = stats.importance_matrix(weights, inv_diag)
     if cfg.use_dor:
         mask = stats.build_importance_mask(importance, cfg.lambda_weight)
@@ -324,7 +368,7 @@ def cmd_quantize(cfg: PipelineConfig):
     """Quantize every targeted layer; writes the packed file and the report."""
     model = get_model(cfg)
     names = target_layers(cfg, model)
-    loaded = _load_stats(cfg, names) if (cfg.use_dor or cfg.use_abmp) else {}
+    loaded = _load_stats(cfg, model, names) if (cfg.use_dor or cfg.use_abmp) else {}
 
     records = []
     layer_rows = {}

@@ -56,8 +56,10 @@ def save_second_moment(sm: SecondMoment, path: str | os.PathLike) -> None:
 
 def load_second_moment(path: str | os.PathLike) -> SecondMoment:
     gram = read_tensor(Path(path))
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ShapeError(f"{path}: not a square matrix")
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.size == 0:
+        raise ShapeError(f"{path}: not a nonempty square matrix")
+    if (np.diag(gram) < 0).any():
+        raise ContainerError(f"{path}: negative diagonal entry, impossible in a second moment")
     sm = SecondMoment(gram.shape[0])
     sm.gram = gram.astype(np.float64)
     count_path = str(path) + ".count"
@@ -66,6 +68,8 @@ def load_second_moment(path: str | os.PathLike) -> SecondMoment:
         text = raw.decode(errors="replace")
         raise ContainerError(f"{count_path}: token count {text!r} is not a non-negative integer")
     sm.count = int(raw)
+    if sm.count == 0:
+        raise ContainerError(f"{count_path}: token count is 0, so the second moment is empty")
     return sm
 
 
@@ -164,7 +168,7 @@ def true_data_loss(weights, approx, sm: SecondMoment) -> float:
     if w.shape[1] != sm.dim:
         raise ShapeError(f"weights have {w.shape[1]} columns, second moment is {sm.dim}")
     diff = w - a
-    return float(np.einsum("ij,jk,ik->", diff, sm.gram, diff))
+    return float(((diff @ sm.gram) * diff).sum())
 
 
 def block_scores(importance: np.ndarray, ranges) -> np.ndarray:

@@ -26,7 +26,8 @@ def _sequences(model, count, seed=0):
     tokens = Rng(seed, 77).integers(
         0, model.spec.mask_id, (count, model.spec.seq_len)
     ).astype(np.uint32)
-    return simulate(tokens, McsConfig(timesteps=2, mask_id=model.spec.mask_id, seed=seed))
+    masked = simulate(tokens, McsConfig(timesteps=2, mask_id=model.spec.mask_id, seed=seed))
+    return [m.ids for m in masked]
 
 
 def test_default_structure():
@@ -74,7 +75,7 @@ def test_positional_variant_breaks_symmetry():
 def test_capture_shapes_and_exactness():
     model = _model()
     ids = Rng(1, 0).integers(0, 63, 32).astype(np.uint32)
-    logits, by_name = forward(model, ids, capture=True)
+    logits, by_name = forward(model, ids)
     assert set(by_name) == set(model.layers)
     assert by_name["block0.up"].shape == (32, 32)  # (d_model, L)
     assert by_name["block0.down"].shape == (64, 32)  # (d_hidden, L)

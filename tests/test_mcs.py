@@ -7,7 +7,6 @@ from maskquant.mcs import (
     McsConfig,
     sample_mask,
     simulate,
-    unmasked,
     visibility_schedule,
 )
 from maskquant.rng import Rng
@@ -115,10 +114,3 @@ def test_simulate_deterministic():
     for x, y in zip(a, b):
         assert np.array_equal(x.ids, y.ids)
         assert np.array_equal(x.visible, y.visible)
-
-
-def test_unmasked_helper():
-    tokens = _tokens(16)
-    seq = unmasked(tokens)
-    assert seq.visible.all() and seq.alpha == 1.0
-    assert np.array_equal(seq.ids, tokens)

@@ -365,6 +365,34 @@ def _stats_count_not_a_number(tmp_path):
     return ["quantize", "--config", str(cfg_path)]
 
 
+def _calibrated_then(edit, *flags):
+    """Default CLI calib, then `edit(stats_dir)`; returns quantize args with `flags`."""
+
+    def make_args(tmp_path):
+        cfg_path = _cli_config(tmp_path)
+        assert main(["calib", "--config", str(cfg_path)]) == 0
+        edit(tmp_path / "cli" / "stats")
+        return ["quantize", "--config", str(cfg_path), *flags]
+
+    return make_args
+
+
+def _stats_count_zero(stats_dir):
+    (stats_dir / "block0.up.qdt.count").write_text("0\n")
+
+
+def _stats_gram_zero(stats_dir):
+    write_tensor(stats_dir / "block0.up.qdt", np.zeros((16, 16)))
+
+
+def _stats_gram_negative_identity(stats_dir):
+    write_tensor(stats_dir / "block0.up.qdt", -np.eye(16))
+
+
+def _stats_gram_without_rows(stats_dir):
+    write_tensor(stats_dir / "block0.up.qdt", np.zeros((0, 0)))
+
+
 def _manifest_without_dims(tmp_path):
     cfg_path = _model_dir_run(tmp_path, lambda w: (w / "manifest.txt").write_text("vocab=64\n"))
     return ["calib", "--config", str(cfg_path)]
@@ -396,6 +424,12 @@ def _config_with(line):
         (_weights_beyond_float16, 3),
         (_qpk_with_infinite_scale, 3),
         (_stats_count_not_a_number, 3),
+        pytest.param(_calibrated_then(_stats_count_zero), 3, id="stats_count_zero"),
+        pytest.param(_calibrated_then(_stats_gram_zero), 3, id="stats_gram_zero"),
+        pytest.param(_calibrated_then(_stats_gram_negative_identity), 3, id="stats_gram_negative"),
+        pytest.param(_calibrated_then(_stats_gram_without_rows), 4, id="stats_gram_without_rows"),
+        pytest.param(_calibrated_then(lambda d: None, "--seed", "7"), 2, id="stats_of_seed_0"),
+        pytest.param(_calibrated_then(lambda d: None, "--no-mcs"), 2, id="stats_with_mcs"),
         (_manifest_without_dims, 3),
         (_tensor_of_wrong_shape, 4),
     ]
@@ -416,3 +450,13 @@ def test_cli_flag_overrides(tmp_path):
     assert main(["calib", "--config", str(cfg_path), "--out", str(out2), "--no-mcs"]) == 0
     sm = load_second_moment(out2 / "stats" / "block0.up.qdt")
     assert sm.count == 12 * 32  # no timestep fan-out when --no-mcs
+
+
+def test_cli_ablate(tmp_path, capsys):
+    cfg_path = _cli_config(tmp_path)
+    assert main(["ablate", "--config", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    grid = json.loads((tmp_path / "cli" / "ablation.json").read_text())
+    assert len(grid["arms"]) == 8
+    assert [line.split(":")[0].strip() for line in lines[:-1]] == sorted(grid["arms"])
+    assert lines[-1] == f"direction_ok={grid['direction_ok']}"

@@ -86,6 +86,21 @@ def test_load_rejects_count_that_is_not_a_non_negative_integer(tmp_path, text):
         load_second_moment(tmp_path / "s.qdt")
 
 
+def test_load_rejects_zero_count(tmp_path):
+    save_second_moment(_moment(np.eye(3)), tmp_path / "s.qdt")
+    (tmp_path / "s.qdt.count").write_text("0\n")
+    with pytest.raises(ContainerError, match="token count is 0"):
+        load_second_moment(tmp_path / "s.qdt")
+
+
+def test_load_rejects_negative_diagonal(tmp_path):
+    sm = _moment(np.eye(3))
+    sm.gram = -sm.gram
+    save_second_moment(sm, tmp_path / "s.qdt")
+    with pytest.raises(ContainerError, match="negative diagonal"):
+        load_second_moment(tmp_path / "s.qdt")
+
+
 def test_damped_inverse_identity():
     sm = SecondMoment(3)
     sm.gram = np.eye(3)
