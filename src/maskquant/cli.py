@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .container import ContainerError
 from .errors import ConfigError, ShapeError
 from .pipeline import (
     PipelineConfig,
+    _read_report,
     ablation_grid,
     cmd_calib,
     cmd_estimate_mem,
@@ -132,13 +132,13 @@ def main(argv=None) -> int:
             result = cmd_estimate_mem(cfg, qpk_path=args.qpk, preset=args.preset)
             print(json.dumps(result, sort_keys=True, indent=2))
         elif args.command == "report":
-            report = json.loads(Path(args.report).read_text())
+            report = _read_report(args.report)
             print(f"seed: {report.get('seed')}")
             _print_report_summary(report)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContainerError, QpkFormatError, OSError, json.JSONDecodeError) as exc:
+    except (ContainerError, QpkFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ShapeError as exc:

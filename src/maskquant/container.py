@@ -47,6 +47,19 @@ class NonFiniteError(ContainerError):
     """Float tensor contains NaN or infinity."""
 
 
+def _write_atomic(path: str | os.PathLike, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file in the same directory
+    and `os.replace`: `path` holds either its previous bytes or all of `data`,
+    and a write that fails leaves no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
     """Write `array` to `path`; accepts float32/float64/uint32 data."""
     arr = np.ascontiguousarray(array)
@@ -60,7 +73,7 @@ def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
     header = MAGIC + struct.pack("<BI", code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
     payload = arr.astype(_DTYPE_FOR_CODE[code], copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + payload)
+    _write_atomic(path, header + payload)
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:

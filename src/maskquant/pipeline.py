@@ -18,8 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from . import abmp, daq, mcs, qformat, stats
-from .container import ContainerError, read_tensor
-from .denoiser import ToyModel, ToyModelSpec, eval_divergence, forward, init_model, load_model
+from .container import ContainerError, _write_atomic, read_tensor
+from .denoiser import (
+    ToyModel,
+    ToyModelSpec,
+    _row_blocks,
+    eval_divergence,
+    forward,
+    init_model,
+    load_model,
+)
 from .errors import ConfigError, ShapeError
 from .rng import Rng
 
@@ -218,11 +226,12 @@ def calibration_tokens(cfg: PipelineConfig, spec: ToyModelSpec) -> np.ndarray:
     return rng.integers(0, spec.mask_id, (cfg.calib_sequences, spec.seq_len)).astype(np.uint32)
 
 
-def _eval_set(cfg: PipelineConfig, spec: ToyModelSpec) -> list[np.ndarray]:
+def _eval_set(cfg: PipelineConfig, spec: ToyModelSpec) -> np.ndarray:
     eval_seed = cfg.seed ^ _EVAL_SEED_SALT
     rng = Rng(eval_seed, EVAL_TOKEN_STREAM)
     tokens = rng.integers(0, spec.mask_id, (cfg.eval_sequences, spec.seq_len)).astype(np.uint32)
-    return [m.ids for m in mcs.simulate(tokens, cfg.mcs_config(spec.mask_id, seed=eval_seed))]
+    masked = mcs.simulate(tokens, cfg.mcs_config(spec.mask_id, seed=eval_seed))
+    return np.stack([m.ids for m in masked])
 
 
 # --- pipeline stages ----------------------------------------------------------
@@ -259,12 +268,13 @@ def cmd_calib(cfg: PipelineConfig) -> Path:
     names = target_layers(cfg, model)
     tokens = calibration_tokens(cfg, model.spec)
     if cfg.use_mcs:
-        sequences = [m.ids for m in mcs.simulate(tokens, cfg.mcs_config(model.spec.mask_id))]
+        masked = mcs.simulate(tokens, cfg.mcs_config(model.spec.mask_id))
+        sequences = np.stack([m.ids for m in masked])
     else:
         sequences = tokens  # calibration_tokens has already rejected the mask id
     moments = {name: stats.SecondMoment(model.layers[name].shape[1]) for name in names}
-    for ids in sequences:
-        _, inputs = forward(model, ids)
+    for block in _row_blocks(sequences):
+        _, inputs = forward(model, block)
         for name, sm in moments.items():
             sm.accumulate(inputs[name])
     cfg.stats_dir.mkdir(parents=True, exist_ok=True)
@@ -272,7 +282,7 @@ def cmd_calib(cfg: PipelineConfig) -> Path:
     fingerprint.unlink(missing_ok=True)  # a half-rewritten directory matches nothing
     for name, sm in moments.items():
         stats.save_second_moment(sm, _stats_path(cfg, name))
-    fingerprint.write_text(_calib_fingerprint(cfg, model, tokens) + "\n")
+    _write_atomic(fingerprint, (_calib_fingerprint(cfg, model, tokens) + "\n").encode())
     return cfg.stats_dir
 
 
@@ -415,7 +425,49 @@ def _fp16_params(model: ToyModel, quantized: list[str]) -> int:
 
 def _write_report(path: Path, report: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
+
+
+_NUMBER = (int, float)
+# the fields of each report section that `eval` and `maskquant report` use
+_REPORT_FIELDS = {
+    "layers": {
+        "rows": int,
+        "cols": int,
+        "allocation": dict,
+        "proxy_loss_init": _NUMBER,
+        "proxy_loss_final": _NUMBER,
+    },
+    "memory": {"qpk_bytes": int, "total_bytes": int},
+    "eval": {"logit_mse": _NUMBER, "softmax_kl": _NUMBER},
+}
+
+
+def _read_report(path) -> dict:
+    """The run report at `path`. Anything but a UTF-8 JSON object whose
+    layer rows, `memory` and `eval` (each may be null) hold the fields in
+    `_REPORT_FIELDS` raises ContainerError."""
+    path = Path(path)
+    try:
+        report = json.loads(path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContainerError(f"{path}: not a JSON report: {exc}") from None
+    if not isinstance(report, dict):
+        raise ContainerError(f"{path}: a report is a JSON object, not {type(report).__name__}")
+    layers = report.get("layers", {})
+    if not isinstance(layers, dict):
+        raise ContainerError(f"{path}: layers is not an object")
+    sections = [(f"layers.{name}", row, _REPORT_FIELDS["layers"]) for name, row in layers.items()]
+    for key in ("memory", "eval"):
+        if report.get(key) is not None:
+            sections.append((key, report[key], _REPORT_FIELDS[key]))
+    for where, section, fields in sections:
+        if not isinstance(section, dict):
+            raise ContainerError(f"{path}: {where} is not an object")
+        for field, kind in fields.items():
+            if not isinstance(section.get(field), kind):
+                raise ContainerError(f"{path}: {where}.{field} is missing or of the wrong type")
+    return report
 
 
 def cmd_eval(cfg: PipelineConfig, qpk_path=None) -> dict:
@@ -439,7 +491,7 @@ def cmd_eval(cfg: PipelineConfig, qpk_path=None) -> dict:
     metrics = eval_divergence(model, overrides, _eval_set(cfg, model.spec))
 
     if cfg.report_path.exists():
-        report = json.loads(cfg.report_path.read_text())
+        report = _read_report(cfg.report_path)
     else:
         report = {"seed": cfg.seed, "config": cfg.echo(), "layers": {}, "memory": None}
     report["eval"] = {**metrics, "eval_sequences": cfg.eval_sequences}

@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .abmp import partition
+from .container import _write_atomic
 from .daq import QuantizedGroup
 from .errors import ShapeError
 
@@ -225,7 +226,7 @@ def write_qpk(path: str | os.PathLike, layers: Sequence[QpkLayer]) -> None:
             buf += g.planes.astype("<u8").tobytes()
             buf += g.alpha_r.astype("<f2").tobytes()
             buf += g.alpha_c.astype("<f2").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    _write_atomic(path, bytes(buf))
 
 
 class _Reader:

@@ -1,6 +1,7 @@
 """Tensor container round trips and failure modes."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from maskquant.container import (
     read_tensor,
     write_tensor,
 )
+from maskquant.daq import DaqConfig, daq_fit
+from maskquant.denoiser import ToyModelSpec, init_model, save_model
+from maskquant.pipeline import _write_report
+from maskquant.qformat import build_layer, write_qpk
 from maskquant.rng import Rng
+from maskquant.stats import SecondMoment, save_second_moment
 
 
 def test_exact_byte_layout(tmp_path):
@@ -162,3 +168,46 @@ def test_read_tensor_damaged_bytes_raise_only_container_errors(valid_tensors, da
         read_tensor(path)
     except ContainerError:
         pass
+
+
+def _second_moment(value):
+    sm = SecondMoment(2)
+    sm.accumulate(np.full((2, value), float(value)))
+    return sm
+
+
+def _packed_layer(value):
+    group = daq_fit(np.full((4, 6), float(value), dtype=np.float32), cfg=DaqConfig(order=1))
+    return [build_layer("w", [group], 6, 6)]
+
+
+# file name -> writer of a version of it into a directory
+_WRITERS = {
+    "t.qdt": lambda d, v: write_tensor(d / "t.qdt", np.full(3, float(v))),
+    "s.qdt": lambda d, v: save_second_moment(_second_moment(v), d / "s.qdt"),
+    "s.qdt.count": lambda d, v: save_second_moment(_second_moment(v), d / "s.qdt"),
+    "m.qpk": lambda d, v: write_qpk(d / "m.qpk", _packed_layer(v)),
+    "report.json": lambda d, v: _write_report(d / "report.json", {"version": v}),
+    "manifest.txt": lambda d, v: save_model(init_model(ToyModelSpec(seed=v)), d),
+}
+
+
+@pytest.mark.parametrize("name", _WRITERS)
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name):
+    write = _WRITERS[name]
+    write(tmp_path, 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_write_bytes = Path.write_bytes
+
+    def fail_half_way(self, data):
+        if name not in self.name:
+            return real_write_bytes(self, data)
+        real_write_bytes(self, data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", fail_half_way)
+    with pytest.raises(OSError):
+        write(tmp_path, 2)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert after.keys() == before.keys()  # no temporary file left behind
+    assert after[name] == before[name]

@@ -54,27 +54,27 @@ def test_same_seed_same_weights():
 def test_degenerate_width_constructs():
     model = _model(d_model=1)
     assert model.layers["block0.up"].shape == (64, 1)
-    logits, _ = forward(model, np.zeros(8, dtype=np.uint32))
+    logits, _ = forward(model, np.zeros((1, 8), dtype=np.uint32))
     assert np.isfinite(logits).all()
 
 
 def test_all_masked_logits_position_invariant():
     model = _model()
-    ids = np.full(16, model.spec.mask_id, dtype=np.uint32)
+    ids = np.full((1, 16), model.spec.mask_id, dtype=np.uint32)
     logits, _ = forward(model, ids)
     assert np.array_equal(logits, np.tile(logits[:, :1], (1, 16)))
 
 
 def test_positional_variant_breaks_symmetry():
     model = _model(positional=True)
-    ids = np.full(16, model.spec.mask_id, dtype=np.uint32)
+    ids = np.full((1, 16), model.spec.mask_id, dtype=np.uint32)
     logits, _ = forward(model, ids)
     assert not np.array_equal(logits[:, 0], logits[:, 1])
 
 
 def test_capture_shapes_and_exactness():
     model = _model()
-    ids = Rng(1, 0).integers(0, 63, 32).astype(np.uint32)
+    ids = Rng(1, 0).integers(0, 63, (1, 32)).astype(np.uint32)
     logits, by_name = forward(model, ids)
     assert set(by_name) == set(model.layers)
     assert by_name["block0.up"].shape == (32, 32)  # (d_model, L)
@@ -88,24 +88,63 @@ def test_capture_shapes_and_exactness():
 
 def test_identity_override_bitwise_equal():
     model = _model()
-    ids = Rng(2, 0).integers(0, 63, 24).astype(np.uint32)
+    ids = Rng(2, 0).integers(0, 63, (1, 24)).astype(np.uint32)
     base, _ = forward(model, ids)
     same, _ = forward(model, ids, overrides={n: model.layers[n] for n in model.quantizable_names()})
     assert np.array_equal(base, same)
 
 
+@pytest.mark.parametrize("positional", [False, True])
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("length", [64, 40])
+def test_block_forward_equals_row_forwards(positional, quantized, length):
+    # Bit for bit at the pipeline's row length of 64. That rests on the BLAS
+    # computing every column of a product the same way whatever the product's
+    # width, which OpenBLAS does there; at other lengths its edge kernels may
+    # round a row's last columns differently, so only float32 rounding is promised.
+    model = _model(positional=positional)
+    ids = Rng(5, 0).integers(0, 64, (9, length)).astype(np.uint32)
+    overrides = None
+    if quantized:
+        overrides = {n: model.layers[n] * np.float32(0.9) for n in model.quantizable_names()}
+    logits, inputs = forward(model, ids, overrides=overrides)
+    assert logits.shape == (64, 9 * length)
+    for row in range(ids.shape[0]):
+        cols = slice(row * length, (row + 1) * length)
+        row_logits, row_inputs = forward(model, ids[row : row + 1], overrides=overrides)
+        for name, x in [("logits", row_logits), *row_inputs.items()]:
+            got = (logits if name == "logits" else inputs[name])[:, cols]
+            if length == 64:
+                assert np.array_equal(got, x), name
+            else:
+                np.testing.assert_allclose(got, x, rtol=0, atol=1e-5 * np.abs(x).max())
+
+
+@pytest.mark.parametrize(
+    "shape, fill, error",
+    [
+        ((16,), 0, ShapeError),         # 1-D
+        ((2, 2, 4), 0, ShapeError),     # 3-D
+        ((0, 16), 0, ShapeError),       # no rows
+        ((2, 0), 0, ShapeError),        # rows of no tokens
+        ((2, 65), 0, ShapeError),       # longer than seq_len
+        ((2, 4), 64, ValueError),       # id == vocab
+    ],
+)
+def test_forward_rejects_malformed_blocks(shape, fill, error):
+    with pytest.raises(ValueError) as err:
+        forward(_model(), np.full(shape, fill, dtype=np.uint32))
+    assert type(err.value) is error
+
+
 def test_forward_validations():
     model = _model()
-    with pytest.raises(ValueError):
-        forward(model, np.array([64], dtype=np.uint32))  # id == vocab
     with pytest.raises(ShapeError):
-        forward(model, np.zeros(65, dtype=np.uint32))  # longer than seq_len
-    with pytest.raises(ShapeError):
-        forward(model, np.zeros(4, dtype=np.uint32), overrides={"nope": np.zeros((1, 1))})
+        forward(model, np.zeros((1, 4), dtype=np.uint32), overrides={"nope": np.zeros((1, 1))})
     with pytest.raises(ShapeError):
         forward(
             model,
-            np.zeros(4, dtype=np.uint32),
+            np.zeros((1, 4), dtype=np.uint32),
             overrides={"block0.up": np.zeros((2, 2), dtype=np.float32)},
         )
 
@@ -125,6 +164,40 @@ def test_divergence_destroyed_model_positive():
     report = eval_divergence(model, zeros, seqs)
     assert report["logit_mse"] > 0
     assert report["softmax_kl"] > 0
+
+
+def _divergence_per_sequence(model, quantized, eval_set):
+    """Reference: one forward pair per sequence, summed in the same order."""
+
+    def log_softmax(logits):
+        z = logits - logits.max(axis=0, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=0, keepdims=True))
+
+    sq_sum = kl_sum = 0.0
+    sq_count = kl_count = 0
+    for ids in eval_set:
+        ref, _ = forward(model, ids[None])
+        quant, _ = forward(model, ids[None], overrides=quantized)
+        diff = (ref - quant).astype(np.float64)
+        sq_sum += float((diff * diff).sum())
+        sq_count += diff.size
+        logp = log_softmax(ref.astype(np.float64))
+        logq = log_softmax(quant.astype(np.float64))
+        kl_sum += float((np.exp(logp) * (logp - logq)).sum())
+        kl_count += ref.shape[1]
+    return {"logit_mse": sq_sum / sq_count, "softmax_kl": kl_sum / kl_count}
+
+
+@pytest.mark.parametrize("positional", [False, True])
+def test_divergence_blocks_equal_per_sequence_loop(positional):
+    # 8 rows of 64 tokens make a block, so 19 rows run as blocks of 8, 8 and 3
+    model = _model(positional=positional)
+    seqs = np.stack(_sequences(model, 10)[:19])
+    quantized = {
+        n: np.asarray(daq_fit(model.layers[n], cfg=DaqConfig(order=1)).reconstruct(), np.float32)
+        for n in model.quantizable_names()
+    }
+    assert eval_divergence(model, quantized, seqs) == _divergence_per_sequence(model, quantized, seqs)
 
 
 def test_divergence_deterministic_and_order_recorded():
@@ -160,7 +233,7 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.positional, model.positional)
     for name in model.layers:
         assert np.array_equal(back.layers[name], model.layers[name])
-    ids = Rng(3, 0).integers(0, 63, 16).astype(np.uint32)
+    ids = Rng(3, 0).integers(0, 63, (1, 16)).astype(np.uint32)
     assert np.array_equal(forward(model, ids)[0], forward(back, ids)[0])
 
 

@@ -10,21 +10,24 @@ import pytest
 from maskquant.cli import main
 from maskquant.container import read_tensor, write_tensor
 from maskquant.daq import DaqConfig, daq_fit
-from maskquant.denoiser import init_model, save_model
+from maskquant.denoiser import forward, init_model, save_model
 from maskquant.errors import ConfigError
+from maskquant.mcs import simulate
 from maskquant.pipeline import (
     PipelineConfig,
+    _eval_set,
     calibration_tokens,
     cmd_calib,
     cmd_estimate_mem,
     cmd_eval,
     cmd_quantize,
+    get_model,
     load_config,
     parse_config_file,
 )
 from maskquant.qformat import MAGIC, build_layer, read_qpk, write_qpk
 from maskquant.rng import Rng
-from maskquant.stats import load_second_moment
+from maskquant.stats import SecondMoment, load_second_moment
 
 
 def _cfg(tmp_path, **kwargs):
@@ -101,6 +104,65 @@ def test_calib_without_mcs_uses_visible_sequences(tmp_path):
     stats_dir = cmd_calib(cfg)
     sm = load_second_moment(stats_dir / "block0.up.qdt")
     assert sm.count == cfg.calib_sequences * cfg.seq_len  # no timestep fan-out
+
+
+@pytest.mark.parametrize(
+    "use_mcs, seq_len",
+    [
+        (True, 32),   # 96 masked rows in 6 blocks of 16
+        (False, 32),  # 12 raw rows in one partial block
+        (True, 48),   # 10 rows per block: 9 full blocks and a ragged one of 6
+    ],
+)
+def test_calib_grams_match_per_sequence_accumulation(tmp_path, use_mcs, seq_len):
+    cfg = _cfg(tmp_path, use_mcs=use_mcs, seq_len=seq_len)
+    cmd_calib(cfg)
+    model = get_model(cfg)
+    tokens = calibration_tokens(cfg, model.spec)
+    if use_mcs:
+        tokens = [m.ids for m in simulate(tokens, cfg.mcs_config(model.spec.mask_id))]
+    reference = {name: SecondMoment(model.layers[name].shape[1]) for name in model.quantizable_names()}
+    for ids in tokens:
+        _, inputs = forward(model, ids[None])
+        for name, sm in reference.items():
+            sm.accumulate(inputs[name])
+    for name, sm in reference.items():
+        got = load_second_moment(cfg.stats_dir / f"{name}.qdt")
+        assert got.count == sm.count
+        assert np.abs(got.gram - sm.gram).max() <= 1e-12 * np.abs(sm.gram).max(), name
+
+
+def test_forward_lookup_names_see_every_token(tmp_path, monkeypatch):
+    # The benchmark's traced run counts tokens and times forwards by wrapping
+    # the names the callers look up: `maskquant.pipeline.forward` in calib and
+    # `maskquant.denoiser.forward` in eval. A refactor that bypasses either
+    # name would make those counters read 0.
+    import maskquant.denoiser
+    import maskquant.pipeline
+
+    tokens = {"calib": 0, "eval": 0}
+    calls = {"calib": 0, "eval": 0}
+
+    def counting(stage, inner):
+        def wrapped(model, ids, *args, **kwargs):
+            tokens[stage] += np.asarray(ids).size
+            calls[stage] += 1
+            return inner(model, ids, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(maskquant.pipeline, "forward", counting("calib", maskquant.pipeline.forward))
+    monkeypatch.setattr(maskquant.denoiser, "forward", counting("eval", maskquant.denoiser.forward))
+    cfg = _cfg(tmp_path)
+    cmd_calib(cfg)
+    cmd_quantize(cfg)
+    cmd_eval(cfg)
+    model = get_model(cfg)
+    for name in model.quantizable_names():
+        assert load_second_moment(cfg.stats_dir / f"{name}.qdt").count == tokens["calib"]
+    assert tokens["eval"] == 2 * _eval_set(cfg, model.spec).size
+    # 512-token blocks of 16 rows: 96 masked calibration rows, 32 eval rows
+    assert calls == {"calib": 6, "eval": 2 * 2}
 
 
 def test_calib_deterministic_bytes(tmp_path):
@@ -203,7 +265,6 @@ def test_identity_injection_gives_zero_divergence(tmp_path):
     # substituting the original weights through the eval path must measure
     # exactly zero: the wiring introduces no error of its own
     from maskquant.denoiser import eval_divergence
-    from maskquant.pipeline import _eval_set, get_model
 
     cfg = _cfg(tmp_path)
     model = get_model(cfg)
@@ -213,8 +274,6 @@ def test_identity_injection_gives_zero_divergence(tmp_path):
 
 
 def test_pipeline_accepts_external_weight_directory(tmp_path):
-    from maskquant.pipeline import get_model
-
     spec_cfg = _cfg(tmp_path)
     model = init_model(spec_cfg.model_spec())
     save_model(model, tmp_path / "weights")
@@ -405,6 +464,25 @@ def _tensor_of_wrong_shape(tmp_path):
     return ["calib", "--config", str(_model_dir_run(tmp_path, reshape))]
 
 
+def _report_of(raw):
+    def make_args(tmp_path):
+        (tmp_path / "report.json").write_bytes(raw)
+        return ["report", "--report", str(tmp_path / "report.json")]
+
+    return make_args
+
+
+def _eval_over_report_of(raw):
+    def make_args(tmp_path):
+        cfg_path = _cli_config(tmp_path)
+        assert main(["calib", "--config", str(cfg_path)]) == 0
+        assert main(["quantize", "--config", str(cfg_path)]) == 0
+        (tmp_path / "cli" / "report.json").write_bytes(raw)
+        return ["eval", "--config", str(cfg_path)]
+
+    return make_args
+
+
 def _config_with(line):
     def make_args(tmp_path):
         cfg_path = _cli_config(tmp_path)
@@ -430,6 +508,11 @@ def _config_with(line):
         pytest.param(_calibrated_then(_stats_gram_without_rows), 4, id="stats_gram_without_rows"),
         pytest.param(_calibrated_then(lambda d: None, "--seed", "7"), 2, id="stats_of_seed_0"),
         pytest.param(_calibrated_then(lambda d: None, "--no-mcs"), 2, id="stats_with_mcs"),
+        pytest.param(_report_of(b"[1,2]"), 3, id="report_not_an_object"),
+        pytest.param(_report_of(b'{"layers": {"a": {}}}'), 3, id="report_layer_without_rows"),
+        pytest.param(_report_of(b"\xff\xfe"), 3, id="report_not_utf8"),
+        pytest.param(_eval_over_report_of(b"[]"), 3, id="eval_over_report_not_an_object"),
+        pytest.param(_eval_over_report_of(b"\xff"), 3, id="eval_over_report_not_utf8"),
         (_manifest_without_dims, 3),
         (_tensor_of_wrong_shape, 4),
     ]
