@@ -261,12 +261,8 @@ def _calib_fingerprint(cfg: PipelineConfig, model: ToyModel, tokens: np.ndarray)
     return h.hexdigest()
 
 
-def cmd_calib(cfg: PipelineConfig) -> Path:
-    """Accumulate one second-moment file per targeted layer, plus the
-    fingerprint of what they were accumulated from."""
-    model = get_model(cfg)
-    names = target_layers(cfg, model)
-    tokens = calibration_tokens(cfg, model.spec)
+def _calibrate(cfg: PipelineConfig, model: ToyModel, names: list[str], tokens: np.ndarray) -> dict:
+    """Second moment of each named layer's inputs over the calibration tokens."""
     if cfg.use_mcs:
         masked = mcs.simulate(tokens, cfg.mcs_config(model.spec.mask_id))
         sequences = np.stack([m.ids for m in masked])
@@ -277,6 +273,16 @@ def cmd_calib(cfg: PipelineConfig) -> Path:
         _, inputs = forward(model, block)
         for name, sm in moments.items():
             sm.accumulate(inputs[name])
+    return moments
+
+
+def cmd_calib(cfg: PipelineConfig) -> Path:
+    """Accumulate one second-moment file per targeted layer, plus the
+    fingerprint of what they were accumulated from."""
+    model = get_model(cfg)
+    names = target_layers(cfg, model)
+    tokens = calibration_tokens(cfg, model.spec)
+    moments = _calibrate(cfg, model, names, tokens)
     cfg.stats_dir.mkdir(parents=True, exist_ok=True)
     fingerprint = cfg.stats_dir / _FINGERPRINT
     fingerprint.unlink(missing_ok=True)  # a half-rewritten directory matches nothing
@@ -309,6 +315,14 @@ def _load_stats(
     return {name: stats.load_second_moment(path) for name, path in paths.items()}
 
 
+class _SingularMoment(ValueError):
+    """The second moment of `layer` stays singular after damping."""
+
+    def __init__(self, layer: str, message: str):
+        super().__init__(message)
+        self.layer = layer
+
+
 def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
     rows, cols = weights.shape
     importance = None
@@ -318,8 +332,8 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
         try:
             inv_diag = stats.damped_inverse_diag(sm, cfg.damp_rel)
         except ValueError as exc:
-            path = _stats_path(cfg, name)
-            raise ContainerError(f"{path}: {exc} (damp_rel={cfg.damp_rel:g})") from exc
+            msg = f"layer {name!r}: {exc} (damp_rel={cfg.damp_rel:g})"
+            raise _SingularMoment(name, msg) from exc
         importance = stats.importance_matrix(weights, inv_diag)
     if cfg.use_dor:
         mask = stats.build_importance_mask(importance, cfg.lambda_weight)
@@ -374,19 +388,16 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
     return record, row
 
 
-def cmd_quantize(cfg: PipelineConfig):
-    """Quantize every targeted layer; writes the packed file and the report."""
-    model = get_model(cfg)
-    names = target_layers(cfg, model)
-    loaded = _load_stats(cfg, model, names) if (cfg.use_dor or cfg.use_abmp) else {}
-
+def _quantize(cfg: PipelineConfig, model: ToyModel, names: list[str], moments: dict) -> dict:
+    """Quantize the named layers against their second moments in `moments`;
+    writes the packed file and the report, and returns the report."""
     records = []
     layer_rows = {}
     for name in names:
         try:
-            record, row = _quantize_layer(name, model.layers[name], loaded.get(name), cfg)
-        except (ValueError, ShapeError) as exc:
-            raise type(exc)(f"layer {name!r}: {exc}") from exc
+            record, row = _quantize_layer(name, model.layers[name], moments.get(name), cfg)
+        except ShapeError as exc:
+            raise ShapeError(f"layer {name!r}: {exc}") from exc
         records.append(record)
         layer_rows[name] = row
 
@@ -412,7 +423,18 @@ def cmd_quantize(cfg: PipelineConfig):
         "eval": None,
     }
     _write_report(cfg.report_path, report)
-    return cfg.qpk_path, report
+    return report
+
+
+def cmd_quantize(cfg: PipelineConfig):
+    """Quantize every targeted layer; writes the packed file and the report."""
+    model = get_model(cfg)
+    names = target_layers(cfg, model)
+    moments = _load_stats(cfg, model, names) if (cfg.use_dor or cfg.use_abmp) else {}
+    try:
+        return cfg.qpk_path, _quantize(cfg, model, names, moments)
+    except _SingularMoment as exc:
+        raise ContainerError(f"{_stats_path(cfg, exc.layer)}: {exc}") from exc
 
 
 def _fp16_params(model: ToyModel, quantized: list[str]) -> int:
@@ -478,16 +500,8 @@ def cmd_eval(cfg: PipelineConfig, qpk_path=None) -> dict:
     """
     model = get_model(cfg)
     layers = qformat.read_qpk(qpk_path or cfg.qpk_path)
-    overrides = {}
-    for layer in layers:
-        if layer.name not in model.layers:
-            raise ShapeError(f"packed layer {layer.name!r} not present in the model")
-        expected = model.layers[layer.name].shape
-        if (layer.rows, layer.cols) != expected:
-            raise ShapeError(
-                f"packed layer {layer.name!r} is {(layer.rows, layer.cols)}, model has {expected}"
-            )
-        overrides[layer.name] = qformat.dequantize(layer)
+    # forward refuses a layer the model lacks or whose shape differs (ShapeError)
+    overrides = {layer.name: qformat.dequantize(layer) for layer in layers}
     metrics = eval_divergence(model, overrides, _eval_set(cfg, model.spec))
 
     if cfg.report_path.exists():
@@ -567,7 +581,8 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
 
     Arms: the full pipeline, each stage disabled in isolation, a plain
     uniform arm (no saliency weighting, no mixed precision), and a
-    reallocation-ratio sweep. Also records whether the full pipeline beat
+    reallocation-ratio sweep. Arms with one statistics fingerprint share one
+    calibration, kept in memory. Also records whether the full pipeline beat
     the plain uniform arm on held-out divergence; small-model runs are not
     guaranteed to preserve that ordering, so a violation is flagged rather
     than fatal.
@@ -582,11 +597,25 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     for ratio in (0.0, 0.10, 0.15):
         arms[f"ratio_{ratio:g}"] = {"ratio": ratio}
 
-    results = {}
+    model = get_model(cfg)
+    names = target_layers(cfg, model)
+    tokens = calibration_tokens(cfg, model.spec)
+    plan = []  # (statistics fingerprint, "" for an arm that uses none; arm; its config)
     for arm, override in arms.items():
         sub = dataclasses.replace(cfg, out_dir=str(Path(cfg.out_dir) / "arms" / arm), **override)
-        cmd_calib(sub)
-        cmd_quantize(sub)
+        key = _calib_fingerprint(sub, model, tokens) if (sub.use_dor or sub.use_abmp) else ""
+        plan.append((key, arm, sub))
+    results = {}
+    key = None
+    # arms that share statistics run back to back, so one set of moments is alive at a time
+    for arm_key, arm, sub in sorted(plan, key=lambda step: step[0]):
+        if arm_key != key:
+            key, moments = arm_key, None
+            moments = _calibrate(sub, model, names, tokens) if key else {}
+        try:
+            _quantize(sub, model, names, moments)
+        except _SingularMoment as exc:
+            raise ConfigError(f"arm {arm!r}: {exc}") from exc
         report = cmd_eval(sub)
         results[arm] = {
             "divergence": report["eval"],
