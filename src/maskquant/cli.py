@@ -35,7 +35,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-mcs", action="store_true", help="calibrate on fully visible sequences")
     parser.add_argument("--no-dor", action="store_true", help="disable saliency weighting")
     parser.add_argument("--no-abmp", action="store_true", help="uniform order, no reallocation")
-    parser.add_argument("--no-rsr", action="store_true", help="skip refinement sweeps")
+    parser.add_argument("--no-rsr", action="store_true", help="skip refinement sweeps (sweeps=0)")
     parser.add_argument("--ratio", type=float, help="precision reallocation fraction")
     parser.add_argument("--order", type=int, help="uniform binary order when ABMP is off")
     parser.add_argument("--group-width", type=int, dest="group_width")
@@ -51,6 +51,7 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
         "group_width": args.group_width,
         "calib_path": args.calib_path,
         "out_dir": args.out_dir,
+        "sweeps": 0 if args.no_rsr else None,
     }
     if args.no_mcs:
         overrides["use_mcs"] = False
@@ -58,8 +59,6 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
         overrides["use_dor"] = False
     if args.no_abmp:
         overrides["use_abmp"] = False
-    if args.no_rsr:
-        overrides["use_rsr"] = False
     return load_config(args.config, overrides)
 
 

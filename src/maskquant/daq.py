@@ -34,8 +34,10 @@ class DaqConfig:
             raise ValueError(f"order must be 1, 2, or 3, got {self.order}")
         if self.sweeps < 0:
             raise ValueError("sweeps must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon <= 1e-4:  # a stabilizer: above 1e-4 it starts to move the fit
+            raise ValueError(f"epsilon must be in (0, 1e-4], got {self.epsilon}")
+        if not 0.0 <= self.tol < 1.0:  # a relative improvement never reaches 1
+            raise ValueError(f"tol must be in [0, 1), got {self.tol}")
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .rng import Rng
 CALIB_TOKEN_STREAM = 4 << 32
 EVAL_TOKEN_STREAM = 5 << 32
 _EVAL_SEED_SALT = 0x45564C31  # keeps held-out masking off the calibration streams
+_MAX_STAGE_TOKENS = 1 << 24  # tokens calib or eval may synthesize: far beyond desk scale
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class PipelineConfig:
     sweeps: int = 10
     tol: float = 1e-6
     epsilon: float = 1e-8
-    use_rsr: bool = True
     # mixed precision
     use_abmp: bool = True
     ratio: float = 0.05
@@ -74,6 +75,10 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         try:
             daq.DaqConfig(order=self.order, sweeps=self.sweeps, tol=self.tol, epsilon=self.epsilon)
             mcs.McsConfig(timesteps=self.timesteps, prefix_ratio=self.prefix_ratio, seed=self.seed)
@@ -90,6 +95,13 @@ class PipelineConfig:
             raise ConfigError("damp_rel must be >= 0")
         if self.calib_sequences < 1 or self.eval_sequences < 1:
             raise ConfigError("sequence counts must be positive")
+        copies = self.timesteps * self.seq_len  # masked tokens per sequence
+        calib = self.calib_sequences * (copies if self.use_mcs else self.seq_len)
+        if max(calib, self.eval_sequences * copies) > _MAX_STAGE_TOKENS:
+            raise ConfigError(
+                f"calib or eval would run more than {_MAX_STAGE_TOKENS} tokens; lower "
+                "calib_sequences, eval_sequences, timesteps or seq_len"
+            )
 
     # derived paths
     @property
@@ -126,7 +138,7 @@ class PipelineConfig:
     def daq_config(self, order: int | None = None) -> daq.DaqConfig:
         return daq.DaqConfig(
             order=self.order if order is None else order,
-            sweeps=self.sweeps if self.use_rsr else 0,
+            sweeps=self.sweeps,
             tol=self.tol,
             epsilon=self.epsilon,
             row_center=False,  # centering happens once per layer, not per group
@@ -160,7 +172,11 @@ def parse_config_file(path) -> dict:
     """Plain key=value lines; '#' starts a comment, blank lines are ignored."""
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -244,9 +260,9 @@ def _stats_path(cfg: PipelineConfig, name: str) -> Path:
     return cfg.stats_dir / f"{name}.qdt"
 
 
-def _calib_fingerprint(cfg: PipelineConfig, model: ToyModel, tokens: np.ndarray) -> str:
-    """sha256 over everything the statistics depend on: the model weights,
-    the calibration tokens and the masking settings."""
+def _weights_sha256(model: ToyModel, tokens: np.ndarray | None = None):
+    """sha256 over the model weights, then the tokens when given; each array
+    enters with its name, dtype and shape."""
     h = hashlib.sha256()
     named = {"embedding": model.embedding, **model.layers, "positional": model.positional}
     named["tokens"] = tokens
@@ -254,6 +270,13 @@ def _calib_fingerprint(cfg: PipelineConfig, model: ToyModel, tokens: np.ndarray)
         if arr is not None:
             h.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
             h.update(np.ascontiguousarray(arr))
+    return h
+
+
+def _calib_fingerprint(cfg: PipelineConfig, model: ToyModel, tokens: np.ndarray) -> str:
+    """sha256 over everything the statistics depend on: the model weights,
+    the calibration tokens and the masking settings."""
+    h = _weights_sha256(model, tokens)
     masking = {"use_mcs": cfg.use_mcs}
     if cfg.use_mcs:
         masking.update(timesteps=cfg.timesteps, prefix_ratio=cfg.prefix_ratio, seed=cfg.seed)
@@ -413,6 +436,7 @@ def _quantize(cfg: PipelineConfig, model: ToyModel, names: list[str], moments: d
     report = {
         "seed": cfg.seed,
         "config": cfg.echo(),
+        "model_sha256": _weights_sha256(model).hexdigest(),
         "layers": layer_rows,
         "memory": {
             "qpk_bytes": qpk_bytes,
@@ -504,10 +528,17 @@ def cmd_eval(cfg: PipelineConfig, qpk_path=None) -> dict:
     overrides = {layer.name: qformat.dequantize(layer) for layer in layers}
     metrics = eval_divergence(model, overrides, _eval_set(cfg, model.spec))
 
+    model_sha256 = _weights_sha256(model).hexdigest()
     if cfg.report_path.exists():
         report = _read_report(cfg.report_path)
+        if report.get("model_sha256", model_sha256) != model_sha256:
+            raise ConfigError(
+                f"{cfg.report_path} belongs to a model quantized from other weights than "
+                "this config's; rerun quantize with this config"
+            )
     else:
         report = {"seed": cfg.seed, "config": cfg.echo(), "layers": {}, "memory": None}
+        report["model_sha256"] = model_sha256
     report["eval"] = {**metrics, "eval_sequences": cfg.eval_sequences}
     _write_report(cfg.report_path, report)
     return report

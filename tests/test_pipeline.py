@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskquant.cli import main
 from maskquant.container import read_tensor, write_tensor
@@ -16,6 +20,7 @@ from maskquant.mcs import simulate
 from maskquant.pipeline import (
     PipelineConfig,
     _eval_set,
+    ablation_grid,
     calibration_tokens,
     cmd_calib,
     cmd_estimate_mem,
@@ -77,6 +82,53 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
         parse_config_file(bad)
     with pytest.raises(ConfigError):
         PipelineConfig(order=5)
+
+
+def _one_line(raw: bytes) -> bool:
+    return len(raw.decode("utf-8", "replace").splitlines()) <= 1
+
+
+_JUNK = st.binary(max_size=12).filter(_one_line)
+_FLOAT = st.one_of(
+    st.floats().map(repr), st.sampled_from(["nan", "inf", "-inf", "1e308", "-0.0"])
+)
+_SMALL_INT = st.integers(-2, 24).map(str)
+_HUGE_INT = st.integers(10**11, 10**30).map(str)
+_WORDS = {
+    "bool": st.sampled_from(["true", "false", "1", "0", "yes", "no", "maybe"]),
+    "float": _FLOAT,
+    "int": st.one_of(_SMALL_INT, _FLOAT),
+    "str": st.sampled_from(["", "block0.up", "block0.up,out_proj", "nope", "."]),
+}
+# only counts that the token bound rejects before anything is allocated get huge values
+_HUGE_OK = {"calib_sequences", "eval_sequences", "timesteps", "seq_len", "order"}
+
+
+_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+
+
+def _config_value(name: str):
+    words = _WORDS.get(_FIELDS[name].type, _WORDS["str"])
+    if name in _HUGE_OK:
+        words = st.one_of(words, _HUGE_INT)
+    return st.one_of(words.map(str.encode), _JUNK)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_config_fuzz_exits_typed(data):
+    # the 16/32 model of `_cfg`, then random key=value lines, which override it
+    base = b"d_model=16\nd_hidden=32\nseq_len=32\ncalib_sequences=4\ngroup_width=8\n"
+    keys = data.draw(st.lists(st.sampled_from(sorted(_FIELDS)), max_size=6), label="keys")
+    lines = [key.encode() + b"=" + data.draw(_config_value(key), label=key) for key in keys]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_bytes(base + b"\n".join(lines) + b"\n")
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
+        assert main(["calib", "--config", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3, 4)
 
 
 def test_calib_writes_stats_per_layer(tmp_path):
@@ -163,6 +215,46 @@ def test_forward_lookup_names_see_every_token(tmp_path, monkeypatch):
     assert tokens["eval"] == 2 * _eval_set(cfg, model.spec).size
     # 512-token blocks of 16 rows: 96 masked calibration rows, 32 eval rows
     assert calls == {"calib": 6, "eval": 2 * 2}
+
+
+@pytest.mark.parametrize("use_mcs", [True, False])
+def test_grid_calibrates_once_per_statistics_fingerprint(tmp_path, monkeypatch, use_mcs):
+    import maskquant.pipeline
+
+    tokens = []
+    inner = maskquant.pipeline.forward
+
+    def counting(model, ids, *args, **kwargs):
+        tokens.append(np.asarray(ids).size)
+        return inner(model, ids, *args, **kwargs)
+
+    monkeypatch.setattr(maskquant.pipeline, "forward", counting)
+    cfg = _cfg(tmp_path, use_mcs=use_mcs)
+    ablation_grid(cfg)
+    masked = cfg.calib_sequences * cfg.timesteps * cfg.seq_len
+    visible = cfg.calib_sequences * cfg.seq_len
+    # with MCS on, the arms need one masked and one visible calibration; with
+    # MCS off, every arm that uses statistics shares the visible one
+    assert sum(tokens) == (masked + visible if use_mcs else visible)
+    arms = Path(cfg.out_dir) / "arms"
+    assert len(list(arms.glob("*/model.qpk"))) == len(list(arms.glob("*/report.json"))) == 8
+    assert not list(arms.glob("*/stats"))
+
+
+def test_grid_arms_match_standalone_runs(tmp_path):
+    cfg = _cfg(tmp_path)
+    ablation_grid(cfg)
+    for arm, override in (("no_mcs", {"use_mcs": False}), ("ratio_0.1", {"ratio": 0.10})):
+        alone = _cfg(tmp_path, out_dir=str(tmp_path / arm), **override)
+        cmd_calib(alone)
+        cmd_quantize(alone)
+        cmd_eval(alone)
+        arm_dir = Path(cfg.out_dir) / "arms" / arm
+        assert (arm_dir / "model.qpk").read_bytes() == alone.qpk_path.read_bytes(), arm
+        report = (arm_dir / "report.json").read_bytes().replace(
+            str(arm_dir).encode(), alone.out_dir.encode()
+        )
+        assert report == alone.report_path.read_bytes(), arm
 
 
 def test_calib_deterministic_bytes(tmp_path):
@@ -259,6 +351,16 @@ def test_eval_appends_divergence_and_is_deterministic(tmp_path):
     assert again["eval"] == ev
     on_disk = json.loads(cfg.report_path.read_text())
     assert on_disk["eval"] == ev
+
+
+def test_eval_accepts_reports_without_model_fingerprint(tmp_path):
+    cfg = _cfg(tmp_path)
+    cmd_calib(cfg)
+    _, report = cmd_quantize(cfg)
+    assert report["model_sha256"] == json.loads(cfg.report_path.read_text())["model_sha256"]
+    del report["model_sha256"]
+    cfg.report_path.write_text(json.dumps(report))
+    assert cmd_eval(cfg)["eval"]["softmax_kl"] > 0.0
 
 
 def test_identity_injection_gives_zero_divergence(tmp_path):
@@ -483,14 +585,21 @@ def _eval_over_report_of(raw):
     return make_args
 
 
-def _config_with(line):
+def _config_with(lines, command="calib"):
     def make_args(tmp_path):
         cfg_path = _cli_config(tmp_path)
-        with cfg_path.open("a") as f:
-            f.write(line + "\n")
-        return ["calib", "--config", str(cfg_path)]
+        with cfg_path.open("ab") as f:
+            f.write((lines if isinstance(lines, bytes) else lines.encode()) + b"\n")
+        return [command, "--config", str(cfg_path)]
 
     return make_args
+
+
+def _eval_of_another_model(tmp_path):
+    cfg_path = _cli_config(tmp_path)
+    assert main(["calib", "--config", str(cfg_path)]) == 0
+    assert main(["quantize", "--config", str(cfg_path)]) == 0
+    return ["eval", "--config", str(cfg_path), "--seed", "5"]
 
 
 @pytest.mark.parametrize(
@@ -515,10 +624,30 @@ def _config_with(line):
         pytest.param(_eval_over_report_of(b"\xff"), 3, id="eval_over_report_not_utf8"),
         (_manifest_without_dims, 3),
         (_tensor_of_wrong_shape, 4),
+        (_eval_of_another_model, 2),
+        pytest.param(_config_with(b"seed=\xff"), 2, id="config_not_utf8"),
+        pytest.param(
+            _config_with("vocab=8\ndamp_rel=0", "ablate"), 2, id="ablate_singular_moments"
+        ),
     ]
     + [
         pytest.param(_config_with(line), 2, id=line)
-        for line in ("d_model=0", "d_hidden=-3", "seq_len=0", "n_blocks=0", "vocab=1")
+        for line in (
+            "d_model=0",
+            "d_hidden=-3",
+            "seq_len=0",
+            "n_blocks=0",
+            "vocab=1",
+            "use_rsr=false",
+            "tol=nan",
+            "tol=1",
+            "epsilon=inf",
+            "epsilon=1e308",
+            "damp_rel=nan",
+            "damp_rel=inf",
+            "lambda_weight=inf",
+            "calib_sequences=100000000000",
+        )
     ],
 )
 def test_cli_bad_inputs_exit_with_one_line(tmp_path, capsys, make_args, code):
@@ -533,6 +662,10 @@ def test_cli_flag_overrides(tmp_path):
     assert main(["calib", "--config", str(cfg_path), "--out", str(out2), "--no-mcs"]) == 0
     sm = load_second_moment(out2 / "stats" / "block0.up.qdt")
     assert sm.count == 12 * 32  # no timestep fan-out when --no-mcs
+    flags = ["--out", str(out2), "--no-mcs", "--no-rsr"]
+    assert main(["quantize", "--config", str(cfg_path), *flags]) == 0
+    config = json.loads((out2 / "report.json").read_text())["config"]
+    assert config["sweeps"] == 0 and "use_rsr" not in config
 
 
 def test_cli_ablate(tmp_path, capsys):
