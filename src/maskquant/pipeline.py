@@ -77,7 +77,7 @@ class PipelineConfig:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if field.type == "float" and not math.isfinite(value):
+            if field.type in ("float", float) and not math.isfinite(value):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
         try:
             daq.DaqConfig(order=self.order, sweeps=self.sweeps, tol=self.tol, epsilon=self.epsilon)
@@ -413,7 +413,8 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
 
 def _quantize(cfg: PipelineConfig, model: ToyModel, names: list[str], moments: dict) -> dict:
     """Quantize the named layers against their second moments in `moments`;
-    writes the packed file and the report, and returns the report."""
+    writes the packed file and the report, and returns the report. A moment
+    that stays singular after damping raises _SingularMoment."""
     records = []
     layer_rows = {}
     for name in names:
@@ -634,15 +635,15 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     plan = []  # (statistics fingerprint, "" for an arm that uses none; arm; its config)
     for arm, override in arms.items():
         sub = dataclasses.replace(cfg, out_dir=str(Path(cfg.out_dir) / "arms" / arm), **override)
-        key = _calib_fingerprint(sub, model, tokens) if (sub.use_dor or sub.use_abmp) else ""
-        plan.append((key, arm, sub))
+        stats_key = _calib_fingerprint(sub, model, tokens) if (sub.use_dor or sub.use_abmp) else ""
+        plan.append((stats_key, arm, sub))
     results = {}
-    key = None
+    current = None
     # arms that share statistics run back to back, so one set of moments is alive at a time
-    for arm_key, arm, sub in sorted(plan, key=lambda step: step[0]):
-        if arm_key != key:
-            key, moments = arm_key, None
-            moments = _calibrate(sub, model, names, tokens) if key else {}
+    for stats_key, arm, sub in sorted(plan, key=lambda step: step[0]):
+        if stats_key != current:
+            current, moments = stats_key, None
+            moments = _calibrate(sub, model, names, tokens) if stats_key else {}
         try:
             _quantize(sub, model, names, moments)
         except _SingularMoment as exc:
