@@ -88,10 +88,7 @@ def main(argv=None) -> int:
         ("eval", "score the packed model against full precision"),
         ("ablate", "run the ablation grid end to end"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "eval":
-            p.add_argument("--qpk", help="packed model path (defaults to the run output)")
+        _add_common(sub.add_parser(name, help=help_text))
 
     p = sub.add_parser("estimate-mem", help="size accounting for a model description")
     _add_common(p)
@@ -114,7 +111,7 @@ def main(argv=None) -> int:
             _print_report_summary(report)
         elif args.command == "eval":
             cfg = _config_from(args)
-            report = cmd_eval(cfg, qpk_path=args.qpk)
+            report = cmd_eval(cfg)
             _print_report_summary(report)
             print(f"report updated at {cfg.report_path}")
         elif args.command == "ablate":

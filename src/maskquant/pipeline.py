@@ -411,9 +411,9 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
     return record, row
 
 
-def _quantize(cfg: PipelineConfig, model: ToyModel, names: list[str], moments: dict) -> dict:
-    """Quantize the named layers against their second moments in `moments`;
-    writes the packed file and the report, and returns the report. A moment
+def _quantize(cfg: PipelineConfig, model: ToyModel, names: list[str], moments: dict):
+    """Quantize the named layers against their second moments in `moments`.
+    Returns the packed records and the report, whose `eval` is null. A moment
     that stays singular after damping raises _SingularMoment."""
     records = []
     layer_rows = {}
@@ -425,15 +425,9 @@ def _quantize(cfg: PipelineConfig, model: ToyModel, names: list[str], moments: d
         records.append(record)
         layer_rows[name] = row
 
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    qformat.write_qpk(cfg.qpk_path, records)
-    qpk_bytes = cfg.qpk_path.stat().st_size
-    estimate = qformat.memory_estimate(qformat.describe_qpk(records))
-    if estimate != qpk_bytes:
-        raise AssertionError("size estimator out of sync with the encoder")
+    qpk_bytes = qformat.memory_estimate(qformat.describe_qpk(records))
     fp16_params = _fp16_params(model, names)
     total_bytes = qpk_bytes + 2 * fp16_params
-
     report = {
         "seed": cfg.seed,
         "config": cfg.echo(),
@@ -447,8 +441,16 @@ def _quantize(cfg: PipelineConfig, model: ToyModel, names: list[str], moments: d
         },
         "eval": None,
     }
+    return records, report
+
+
+def _write_run(cfg: PipelineConfig, records: list, report: dict) -> None:
+    """Write the run's packed file, check its size against the report, then the report."""
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    qformat.write_qpk(cfg.qpk_path, records)
+    if cfg.qpk_path.stat().st_size != report["memory"]["qpk_bytes"]:
+        raise AssertionError("size estimator out of sync with the encoder")
     _write_report(cfg.report_path, report)
-    return report
 
 
 def cmd_quantize(cfg: PipelineConfig):
@@ -457,9 +459,11 @@ def cmd_quantize(cfg: PipelineConfig):
     names = target_layers(cfg, model)
     moments = _load_stats(cfg, model, names) if (cfg.use_dor or cfg.use_abmp) else {}
     try:
-        return cfg.qpk_path, _quantize(cfg, model, names, moments)
+        records, report = _quantize(cfg, model, names, moments)
     except _SingularMoment as exc:
         raise ContainerError(f"{_stats_path(cfg, exc.layer)}: {exc}") from exc
+    _write_run(cfg, records, report)
+    return cfg.qpk_path, report
 
 
 def _fp16_params(model: ToyModel, quantized: list[str]) -> int:
@@ -471,7 +475,6 @@ def _fp16_params(model: ToyModel, quantized: list[str]) -> int:
 
 
 def _write_report(path: Path, report: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(path, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
 
 
@@ -517,30 +520,29 @@ def _read_report(path) -> dict:
     return report
 
 
-def cmd_eval(cfg: PipelineConfig, qpk_path=None) -> dict:
-    """Score the packed model against full precision on a held-out masked set.
-
-    The held-out set uses its own seed, derived from the run seed, so it never
-    overlaps the calibration draws. Results are appended to the run report.
-    """
-    model = get_model(cfg)
-    layers = qformat.read_qpk(qpk_path or cfg.qpk_path)
+def _evaluate(cfg: PipelineConfig, model: ToyModel, layers: list) -> dict:
+    """The report's `eval` row: the model with the packed `layers` against
+    full precision on the held-out masked set. The set uses its own seed,
+    derived from the run seed, so it never overlaps the calibration draws."""
     # forward refuses a layer the model lacks or whose shape differs (ShapeError)
     overrides = {layer.name: qformat.dequantize(layer) for layer in layers}
     metrics = eval_divergence(model, overrides, _eval_set(cfg, model.spec))
+    return {**metrics, "eval_sequences": cfg.eval_sequences}
 
+
+def cmd_eval(cfg: PipelineConfig) -> dict:
+    """Score the run's own packed model and record the result in its report."""
+    if not cfg.report_path.exists():
+        raise FileNotFoundError(f"{cfg.report_path} not found; run quantize first")
+    report = _read_report(cfg.report_path)
+    model = get_model(cfg)
+    report["eval"] = _evaluate(cfg, model, qformat.read_qpk(cfg.qpk_path))
     model_sha256 = _weights_sha256(model).hexdigest()
-    if cfg.report_path.exists():
-        report = _read_report(cfg.report_path)
-        if report.get("model_sha256", model_sha256) != model_sha256:
-            raise ConfigError(
-                f"{cfg.report_path} belongs to a model quantized from other weights than "
-                "this config's; rerun quantize with this config"
-            )
-    else:
-        report = {"seed": cfg.seed, "config": cfg.echo(), "layers": {}, "memory": None}
-        report["model_sha256"] = model_sha256
-    report["eval"] = {**metrics, "eval_sequences": cfg.eval_sequences}
+    if report.get("model_sha256", model_sha256) != model_sha256:
+        raise ConfigError(
+            f"{cfg.report_path} belongs to a model quantized from other weights than "
+            "this config's; rerun quantize with this config"
+        )
     _write_report(cfg.report_path, report)
     return report
 
@@ -645,10 +647,11 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
             current, moments = stats_key, None
             moments = _calibrate(sub, model, names, tokens) if stats_key else {}
         try:
-            _quantize(sub, model, names, moments)
+            records, report = _quantize(sub, model, names, moments)
         except _SingularMoment as exc:
             raise ConfigError(f"arm {arm!r}: {exc}") from exc
-        report = cmd_eval(sub)
+        report["eval"] = _evaluate(sub, model, records)
+        _write_run(sub, records, report)
         results[arm] = {
             "divergence": report["eval"],
             "report_path": str(sub.report_path),

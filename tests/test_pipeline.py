@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -15,7 +16,7 @@ from maskquant.cli import main
 from maskquant.container import read_tensor, write_tensor
 from maskquant.daq import DaqConfig, daq_fit
 from maskquant.denoiser import forward, init_model, save_model
-from maskquant.errors import ConfigError
+from maskquant.errors import ConfigError, ShapeError
 from maskquant.mcs import simulate
 from maskquant.pipeline import (
     PipelineConfig,
@@ -392,11 +393,54 @@ def test_eval_rejects_mismatched_layers(tmp_path):
     cfg = _cfg(tmp_path)
     cmd_calib(cfg)
     cmd_quantize(cfg)
-    other = dataclasses.replace(cfg, d_model=8, d_hidden=16)
-    from maskquant.errors import ShapeError
-
+    other = dataclasses.replace(cfg, d_model=8, d_hidden=16, out_dir=str(tmp_path / "other"))
+    Path(other.out_dir).mkdir()
+    for name in ("model.qpk", "report.json"):  # the 16/32 run's files under the 8/16 config
+        shutil.copy(Path(cfg.out_dir) / name, other.out_dir)
     with pytest.raises(ShapeError):
-        cmd_eval(other, qpk_path=cfg.qpk_path)
+        cmd_eval(other)
+
+
+def test_eval_without_report_exits_3(tmp_path, capsys):
+    cfg_path = _cli_config(tmp_path)
+    assert main(["calib", "--config", str(cfg_path)]) == 0
+    assert main(["quantize", "--config", str(cfg_path)]) == 0
+    (tmp_path / "cli" / "report.json").unlink()
+    assert main(["eval", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "report.json" in err and "run quantize first" in err
+
+
+def test_eval_refuses_qpk_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "--config", str(_cli_config(tmp_path)), "--qpk", "x"])
+    assert exit_.value.code == 2
+    assert "--qpk" in capsys.readouterr().err
+
+
+def test_grid_reads_no_run_files_and_builds_one_model(tmp_path, monkeypatch):
+    import maskquant.pipeline
+    import maskquant.qformat
+
+    calls = {"read_qpk": 0, "_read_report": 0, "get_model": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(maskquant.qformat, "read_qpk")
+    counting(maskquant.pipeline, "_read_report")
+    counting(maskquant.pipeline, "get_model")
+    grid = ablation_grid(_cfg(tmp_path))
+    assert calls == {"read_qpk": 0, "_read_report": 0, "get_model": 1}
+    for arm, result in grid["arms"].items():
+        report = json.loads(Path(result["report_path"]).read_text())
+        assert report["eval"] == result["divergence"], arm
 
 
 def test_estimate_mem_modes(tmp_path):
@@ -466,7 +510,10 @@ def test_cli_exit_codes(tmp_path):
         "d_model=8\nd_hidden=16\nseq_len=32\ncalib_sequences=4\n"
         f"eval_sequences=2\ngroup_width=8\nout_dir={tmp_path / 'other'}\n"
     )
-    assert main(["eval", "--config", str(other), "--qpk", str(qpk)]) == 4
+    (tmp_path / "other").mkdir()
+    for name in ("model.qpk", "report.json"):  # the 16/32 run's files
+        shutil.copy(tmp_path / "cli" / name, tmp_path / "other")
+    assert main(["eval", "--config", str(other)]) == 4
 
 
 def _calib_on(tmp_path, tokens):
