@@ -24,6 +24,7 @@ from .denoiser import (
     ToyModel,
     ToyModelSpec,
     _row_blocks,
+    _tensor_shapes,
     eval_divergence,
     forward,
     init_model,
@@ -35,7 +36,8 @@ from .rng import Rng
 CALIB_TOKEN_STREAM = 4 << 32
 EVAL_TOKEN_STREAM = 5 << 32
 _EVAL_SEED_SALT = 0x45564C31  # keeps held-out masking off the calibration streams
-_MAX_STAGE_TOKENS = 1 << 24  # tokens calib or eval may synthesize: far beyond desk scale
+_MAX_STAGE_TOKENS = 1 << 24  # tokens calib or eval may run: far beyond desk scale
+_MAX_MODEL_WEIGHTS = 1 << 26  # weights of a synthesized model: ~30x the benchmark's `wide`
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class PipelineConfig:
         try:
             daq.DaqConfig(order=self.order, sweeps=self.sweeps, tol=self.tol, epsilon=self.epsilon)
             mcs.McsConfig(timesteps=self.timesteps, prefix_ratio=self.prefix_ratio, seed=self.seed)
-            self.model_spec()
+            spec = self.model_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not 0.0 <= self.ratio <= 0.5:
@@ -95,12 +97,15 @@ class PipelineConfig:
             raise ConfigError("damp_rel must be >= 0")
         if self.calib_sequences < 1 or self.eval_sequences < 1:
             raise ConfigError("sequence counts must be positive")
-        copies = self.timesteps * self.seq_len  # masked tokens per sequence
-        calib = self.calib_sequences * (copies if self.use_mcs else self.seq_len)
-        if max(calib, self.eval_sequences * copies) > _MAX_STAGE_TOKENS:
+        _check_stage_tokens(self, self.calib_sequences, self.seq_len, masked=self.use_mcs)
+        _check_stage_tokens(self, self.eval_sequences, self.seq_len)
+        # every block holds at least 2 weights, so a huge n_blocks fails before the walk
+        if self.n_blocks > _MAX_MODEL_WEIGHTS or sum(
+            math.prod(shape) for shape in _tensor_shapes(spec).values()
+        ) > _MAX_MODEL_WEIGHTS:
             raise ConfigError(
-                f"calib or eval would run more than {_MAX_STAGE_TOKENS} tokens; lower "
-                "calib_sequences, eval_sequences, timesteps or seq_len"
+                f"the model would hold more than {_MAX_MODEL_WEIGHTS} weights; lower vocab, "
+                "d_model, d_hidden, n_blocks or, with positional, seq_len"
             )
 
     # derived paths
@@ -203,6 +208,18 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_stage_tokens(cfg: PipelineConfig, rows: int, length: int, masked: bool = True) -> None:
+    """Refuse a calib or eval stage over `rows` sequences of `length` tokens,
+    each run in `timesteps` masked copies when `masked`, that would run more
+    than _MAX_STAGE_TOKENS tokens."""
+    tokens = rows * length * (cfg.timesteps if masked else 1)
+    if tokens > _MAX_STAGE_TOKENS:
+        raise ConfigError(
+            f"calib or eval would run {tokens} tokens, more than {_MAX_STAGE_TOKENS}; lower "
+            "calib_sequences, eval_sequences, timesteps, seq_len or the calibration rows"
+        )
+
+
 # --- model and data ----------------------------------------------------------
 
 
@@ -214,9 +231,11 @@ def get_model(cfg: PipelineConfig) -> ToyModel:
 
 def target_layers(cfg: PipelineConfig, model: ToyModel) -> list[str]:
     if cfg.layers:
-        for name in cfg.layers:
+        for i, name in enumerate(cfg.layers):
             if name not in model.layers:
                 raise ConfigError(f"unknown layer {name!r}; model has {sorted(model.layers)}")
+            if name in cfg.layers[:i]:
+                raise ConfigError(f"layer {name!r} is named more than once in layers")
         return list(cfg.layers)
     return model.quantizable_names()
 
@@ -237,12 +256,15 @@ def calibration_tokens(cfg: PipelineConfig, spec: ToyModelSpec) -> np.ndarray:
             raise ShapeError(f"{path}: token ids exceed vocabulary {spec.vocab}")
         if (tokens == spec.mask_id).any():
             raise ShapeError(f"{path}: tokens contain the mask id {spec.mask_id}")
+        _check_stage_tokens(cfg, *tokens.shape, masked=cfg.use_mcs)
         return tokens
+    _check_stage_tokens(cfg, cfg.calib_sequences, spec.seq_len, masked=cfg.use_mcs)
     rng = Rng(cfg.seed, CALIB_TOKEN_STREAM)
     return rng.integers(0, spec.mask_id, (cfg.calib_sequences, spec.seq_len)).astype(np.uint32)
 
 
 def _eval_set(cfg: PipelineConfig, spec: ToyModelSpec) -> np.ndarray:
+    _check_stage_tokens(cfg, cfg.eval_sequences, spec.seq_len)
     eval_seed = cfg.seed ^ _EVAL_SEED_SALT
     rng = Rng(eval_seed, EVAL_TOKEN_STREAM)
     tokens = rng.integers(0, spec.mask_id, (cfg.eval_sequences, spec.seq_len)).astype(np.uint32)

@@ -178,7 +178,7 @@ def _second_moment(value):
 
 def _packed_layer(value):
     group = daq_fit(np.full((4, 6), float(value), dtype=np.float32), cfg=DaqConfig(order=1))
-    return [build_layer("w", [group], 6, 6)]
+    return [build_layer("w", [group], 6, 6, group.row_mean)]
 
 
 # file name -> writer of a version of it into a directory

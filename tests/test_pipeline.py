@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from maskquant.cli import main
 from maskquant.container import read_tensor, write_tensor
 from maskquant.daq import DaqConfig, daq_fit
-from maskquant.denoiser import forward, init_model, save_model
+from maskquant.denoiser import ToyModelSpec, forward, init_model, save_model
 from maskquant.errors import ConfigError, ShapeError
 from maskquant.mcs import simulate
 from maskquant.pipeline import (
@@ -101,8 +101,11 @@ _WORDS = {
     "int": st.one_of(_SMALL_INT, _FLOAT),
     "str": st.sampled_from(["", "block0.up", "block0.up,out_proj", "nope", "."]),
 }
-# only counts that the token bound rejects before anything is allocated get huge values
-_HUGE_OK = {"calib_sequences", "eval_sequences", "timesteps", "seq_len", "order"}
+# only counts that the token or weight bound rejects before anything is allocated get huge values
+_HUGE_OK = {
+    "calib_sequences", "eval_sequences", "timesteps", "seq_len", "order",
+    "vocab", "d_model", "d_hidden", "n_blocks",
+}
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
@@ -401,16 +404,6 @@ def test_eval_rejects_mismatched_layers(tmp_path):
         cmd_eval(other)
 
 
-def test_eval_without_report_exits_3(tmp_path, capsys):
-    cfg_path = _cli_config(tmp_path)
-    assert main(["calib", "--config", str(cfg_path)]) == 0
-    assert main(["quantize", "--config", str(cfg_path)]) == 0
-    (tmp_path / "cli" / "report.json").unlink()
-    assert main(["eval", "--config", str(cfg_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "report.json" in err and "run quantize first" in err
-
-
 def test_eval_refuses_qpk_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["eval", "--config", str(_cli_config(tmp_path)), "--qpk", "x"])
@@ -642,11 +635,49 @@ def _config_with(lines, command="calib"):
     return make_args
 
 
+def _eval_without_report(tmp_path):
+    cfg_path = _cli_config(tmp_path)
+    assert main(["calib", "--config", str(cfg_path)]) == 0
+    assert main(["quantize", "--config", str(cfg_path)]) == 0
+    (tmp_path / "cli" / "report.json").unlink()
+    return ["eval", "--config", str(cfg_path)]
+
+
 def _eval_of_another_model(tmp_path):
     cfg_path = _cli_config(tmp_path)
     assert main(["calib", "--config", str(cfg_path)]) == 0
     assert main(["quantize", "--config", str(cfg_path)]) == 0
     return ["eval", "--config", str(cfg_path), "--seed", "5"]
+
+
+def _calib_rows_beyond_token_bound(tmp_path):
+    # the config counts 1 x 4096 x 64 tokens; the file's 100 rows make 26,214,400
+    args = _config_with("seq_len=64\ncalib_sequences=1\ntimesteps=4096")(tmp_path)
+    write_tensor(tmp_path / "tokens.qdt", np.zeros((100, 64), dtype=np.uint32))
+    return [*args, "--calib", str(tmp_path / "tokens.qdt")]
+
+
+def _long_model_run(tmp_path, lines, *commands):
+    """CLI config on a saved 16/32 model of seq_len 4096 plus `lines`; runs all
+    but the last of `commands` and returns the args of the last."""
+    save_model(init_model(ToyModelSpec(d_model=16, d_hidden=32, seq_len=4096)), tmp_path / "w")
+    cfg_path = _cli_config(tmp_path)
+    with cfg_path.open("a") as f:
+        f.write(f"model_dir={tmp_path / 'w'}\n{lines}\n")
+    for command in commands[:-1]:
+        assert main([command, "--config", str(cfg_path)]) == 0
+    return [commands[-1], "--config", str(cfg_path)]
+
+
+def _model_seq_len_beyond_calib_bound(tmp_path):
+    # the config counts 600 x 8 x 32 tokens; the model's seq_len makes 19,660,800
+    return _long_model_run(tmp_path, "calib_sequences=600", "calib")
+
+
+def _model_seq_len_beyond_eval_bound(tmp_path):
+    # as above, for the eval set
+    lines = "eval_sequences=600\nuse_dor=false\nuse_abmp=false"
+    return _long_model_run(tmp_path, lines, "quantize", "eval")
 
 
 @pytest.mark.parametrize(
@@ -672,9 +703,27 @@ def _eval_of_another_model(tmp_path):
         (_manifest_without_dims, 3),
         (_tensor_of_wrong_shape, 4),
         (_eval_of_another_model, 2),
+        (_eval_without_report, 3),
         pytest.param(_config_with(b"seed=\xff"), 2, id="config_not_utf8"),
         pytest.param(
             _config_with("vocab=8\ndamp_rel=0", "ablate"), 2, id="ablate_singular_moments"
+        ),
+        pytest.param(_config_with("layers=block0.up,block0.up"), 2, id="layer_named_twice"),
+        (_calib_rows_beyond_token_bound, 2),
+        (_model_seq_len_beyond_calib_bound, 2),
+        (_model_seq_len_beyond_eval_bound, 2),
+        # the weight bound refuses these when the config is built, before any allocation
+        pytest.param(_config_with("vocab=1000000000"), 2, id="vocab_beyond_weight_bound"),
+        pytest.param(_config_with("d_model=100000000"), 2, id="d_model_beyond_weight_bound"),
+        pytest.param(_config_with("d_hidden=100000000"), 2, id="d_hidden_beyond_weight_bound"),
+        pytest.param(_config_with("n_blocks=10" + "0" * 29), 2, id="n_blocks_beyond_weight_bound"),
+        pytest.param(
+            _config_with(
+                "positional=true\nseq_len=16777216\ncalib_sequences=1\neval_sequences=1\n"
+                "timesteps=1"
+            ),
+            2,
+            id="positional_beyond_weight_bound",
         ),
     ]
     + [

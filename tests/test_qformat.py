@@ -111,6 +111,17 @@ def test_encode_dequantize_close_to_inmemory():
     assert np.allclose(packed, in_memory, atol=1e-3 * scale)
 
 
+def test_build_layer_refuses_group_row_means_it_would_drop():
+    # groups fitted with their own row means (the DaqConfig default): the file
+    # stores one mean per layer, and packing without them misses the +3 offset
+    w = np.asarray(Rng(9, 1).gaussian((8, 16)), dtype=np.float32) + 3.0
+    groups = [daq_fit(w[:, start : start + 8], cfg=DaqConfig(order=2)) for start in (0, 8)]
+    with pytest.raises(ValueError, match="'w': group 0"):
+        build_layer("w", groups, 8, 16)
+    with pytest.raises(ValueError, match="'w': group 1"):
+        build_layer("w", groups, 8, 16, groups[0].row_mean)
+
+
 def test_qpk_roundtrip(tmp_path):
     layers = [
         _fit_layer("block0.up", 24, 40, seed=6),
