@@ -38,6 +38,7 @@ EVAL_TOKEN_STREAM = 5 << 32
 _EVAL_SEED_SALT = 0x45564C31  # keeps held-out masking off the calibration streams
 _MAX_STAGE_TOKENS = 1 << 24  # tokens calib or eval may run: far beyond desk scale
 _MAX_MODEL_WEIGHTS = 1 << 26  # weights of a synthesized model: ~30x the benchmark's `wide`
+_MAX_GRAM_ENTRIES = 1 << 27  # float64 second-moment entries calib holds (1 GiB): ~50x `wide`
 
 
 @dataclass(frozen=True)
@@ -100,13 +101,16 @@ class PipelineConfig:
         _check_stage_tokens(self, self.calib_sequences, self.seq_len, masked=self.use_mcs)
         _check_stage_tokens(self, self.eval_sequences, self.seq_len)
         # every block holds at least 2 weights, so a huge n_blocks fails before the walk
-        if self.n_blocks > _MAX_MODEL_WEIGHTS or sum(
-            math.prod(shape) for shape in _tensor_shapes(spec).values()
-        ) > _MAX_MODEL_WEIGHTS:
+        huge = self.n_blocks > _MAX_MODEL_WEIGHTS
+        shapes = {} if huge else _tensor_shapes(spec)
+        if huge or sum(math.prod(shape) for shape in shapes.values()) > _MAX_MODEL_WEIGHTS:
             raise ConfigError(
                 f"the model would hold more than {_MAX_MODEL_WEIGHTS} weights; lower vocab, "
                 "d_model, d_hidden, n_blocks or, with positional, seq_len"
             )
+        # the default targets are the block projections; target_layers refuses unknown names
+        targets = self.layers or [name for name in shapes if name.startswith("block")]
+        _check_gram_entries(shapes[name][1] for name in targets if name in shapes)
 
     # derived paths
     @property
@@ -220,6 +224,18 @@ def _check_stage_tokens(cfg: PipelineConfig, rows: int, length: int, masked: boo
         )
 
 
+def _check_gram_entries(in_dims) -> None:
+    """Refuse a calibration whose second moments, one in_dim x in_dim float64
+    gram per targeted layer of input width in `in_dims`, would hold more than
+    _MAX_GRAM_ENTRIES entries."""
+    entries = sum(dim * dim for dim in in_dims)
+    if entries > _MAX_GRAM_ENTRIES:
+        raise ConfigError(
+            f"calib would hold {entries} second-moment entries, more than {_MAX_GRAM_ENTRIES}; "
+            "lower d_model or d_hidden, or target fewer layers"
+        )
+
+
 # --- model and data ----------------------------------------------------------
 
 
@@ -308,6 +324,7 @@ def _calib_fingerprint(cfg: PipelineConfig, model: ToyModel, tokens: np.ndarray)
 
 def _calibrate(cfg: PipelineConfig, model: ToyModel, names: list[str], tokens: np.ndarray) -> dict:
     """Second moment of each named layer's inputs over the calibration tokens."""
+    _check_gram_entries(model.layers[name].shape[1] for name in names)
     if cfg.use_mcs:
         masked = mcs.simulate(tokens, cfg.mcs_config(model.spec.mask_id))
         sequences = np.stack([m.ids for m in masked])
@@ -394,15 +411,21 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
     else:
         alloc = abmp.BitAllocation(orders=(cfg.order,) * len(part.ranges), reallocated=0)
 
-    groups = []
+    # groups of one order and width are fitted together
+    groups = [None] * len(part.ranges)
+    kinds = list(zip(alloc.orders, part.widths()))
+    for kind in dict.fromkeys(kinds):
+        members = [i for i, other in enumerate(kinds) if other == kind]
+        columns = [slice(*part.ranges[i]) for i in members]
+        lams = None if lam is None else [lam[:, cols] for cols in columns]
+        fits = daq._fit_groups([target[:, cols] for cols in columns], lams, cfg.daq_config(kind[0]))
+        for i, fit in zip(members, fits):
+            groups[i] = fit
     loss_init = 0.0
     loss_final = 0.0
-    for (start, end), order in zip(part.ranges, alloc.orders):
-        lam_sub = lam[:, start:end] if lam is not None else None
-        fit = daq.daq_fit(target[:, start:end], lam_sub, cfg.daq_config(order))
+    for fit in groups:
         loss_init += fit.loss_history[0]
         loss_final += fit.loss_history[-1]
-        groups.append(fit)
 
     record = qformat.build_layer(name, groups, cfg.group_width, cols, mu)
 

@@ -1,10 +1,14 @@
 """Quantizer oracles: init values, closed-form updates, sign search, fits."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maskquant import daq
 from maskquant.daq import (
     DaqConfig,
     classic_binarize,
@@ -13,6 +17,7 @@ from maskquant.daq import (
     update_alpha_r,
     update_signs,
 )
+from maskquant.errors import ShapeError
 from maskquant.stats import proxy_loss
 from maskquant.rng import Rng
 
@@ -356,3 +361,167 @@ def test_daq_rejects_bad_inputs():
         daq_fit(np.array([[np.nan, 1.0]]))
     with pytest.raises(ValueError):
         daq_fit(np.ones((2, 2)), lam=np.ones((3, 3)))
+    for bad in (np.nan, np.inf):
+        lam = np.ones((2, 2))
+        lam[1, 0] = bad
+        with pytest.raises(ValueError, match="weight mask contains non-finite"):
+            daq_fit(np.ones((2, 2)), lam=lam)
+
+
+def test_updates_refuse_scales_of_the_wrong_shape():
+    x = np.zeros((4, 6))
+    with pytest.raises(ShapeError, match=r"alpha_r of term 0 has shape \(1,\), expected \(4,\)"):
+        update_signs(x, [(np.ones(1), np.ones(6))])
+    with pytest.raises(ShapeError, match=r"alpha_c of term 1 has shape \(4,\), expected \(6,\)"):
+        update_signs(x, [(np.ones(4), np.ones(6)), (np.ones(4), np.ones(4))])
+    with pytest.raises(ShapeError, match=r"alpha_c has shape \(1,\), expected \(6,\)"):
+        update_alpha_r(x, np.ones((4, 6)), np.ones(1))
+    with pytest.raises(ShapeError, match=r"alpha_r has shape \(6,\), expected \(4,\)"):
+        update_alpha_c(x, np.ones((4, 6)), np.ones(6))
+    with pytest.raises(ShapeError, match=r"signs has shape \(6, 4\), expected \(4, 6\)"):
+        update_alpha_r(x, np.ones((6, 4)), np.ones(6))
+    with pytest.raises(ShapeError):
+        update_signs(np.zeros(4), [(np.ones(4), np.ones(1))])
+
+
+# --- stacked fits against a per-group reference -------------------------------
+# A reference fit of one matrix at a time, kept frozen in this file: greedy
+# init, recon(skip=k), the tensordot/argmin sign search and the rollback. The
+# stacked fit must match it bit for bit, so the packed bytes never move.
+
+
+def _oracle_rc_init(x):
+    ax = np.abs(x)
+    alpha_r = ax.mean(axis=1)
+    ratios = np.divide(ax, alpha_r[:, None], out=np.zeros_like(ax), where=alpha_r[:, None] > 0)
+    return alpha_r, ratios.mean(axis=0), np.where(x >= 0, 1.0, -1.0)
+
+
+def _oracle_row_scales(x, b, c, lam, epsilon):
+    if lam is None:
+        num = (x * b) @ c
+        den = np.full(x.shape[0], (c * c).sum())
+    else:
+        lam2 = lam * lam
+        num = (lam2 * x * b) @ c
+        den = lam2 @ (c * c)
+    return num / (den + epsilon)
+
+
+def _oracle_signs(target, scales):
+    order = len(scales)
+    planes = np.stack([np.outer(ar, ac) for ar, ac in scales])
+    base = list(itertools.product((1.0, -1.0), repeat=order))
+    ranked = sorted(range(len(base)), key=lambda i: (base[i].count(-1.0), i))
+    cands = np.array([base[i] for i in ranked])
+    approx = np.tensordot(cands, planes, axes=(1, 0))
+    best = np.abs(target[None] - approx).argmin(axis=0)
+    return [cands[best, k] for k in range(order)]
+
+
+def _oracle_fit(w, lam, cfg):
+    """(loss history, [(alpha_r, alpha_c)], [signs], row means) of one group."""
+    w = np.asarray(w, dtype=np.float64)
+    lam = None if lam is None else np.asarray(lam, dtype=np.float64)
+    lam2 = None if lam is None else lam * lam
+    mu, target = (w.mean(axis=1), w - w.mean(axis=1)[:, None]) if cfg.row_center else (None, w)
+
+    def loss(diff):
+        return float((diff * diff).sum() if lam2 is None else (lam2 * diff * diff).sum())
+
+    scales, signs = [], []
+
+    def recon(skip=None):
+        total = np.zeros_like(target)
+        for q, ((ar, ac), b) in enumerate(zip(scales, signs)):
+            if q != skip:
+                total += np.outer(ar, ac) * b
+        return total
+
+    for _ in range(cfg.order):
+        ar, ac, b = _oracle_rc_init(target - recon())
+        scales.append((ar, ac))
+        signs.append(b)
+    history = [loss(target - recon())]
+    for _ in range(cfg.sweeps):
+        saved = (list(scales), list(signs))
+        for k in range(cfg.order):
+            residual = target - recon(skip=k)
+            ar = _oracle_row_scales(residual, signs[k], scales[k][1], lam, cfg.epsilon)
+            lam_t = None if lam is None else lam.T
+            ac = _oracle_row_scales(residual.T, signs[k].T, ar, lam_t, cfg.epsilon)
+            scales[k] = (ar, ac)
+        signs = _oracle_signs(target, scales)
+        cur = loss(target - recon())
+        prev = history[-1]
+        if cur > prev:
+            scales, signs = saved
+            break
+        history.append(cur)
+        if prev <= 0.0 or (prev - cur) / prev < cfg.tol:
+            break
+    return history, scales, signs, mu
+
+
+def _assert_same_as_oracle(fit, w, lam, cfg):
+    history, scales, signs, mu = _oracle_fit(w, lam, cfg)
+    assert fit.loss_history == history
+    assert len(fit.orders) == cfg.order
+    for term, (ar, ac), b in zip(fit.orders, scales, signs):
+        assert term.alpha_r.tobytes() == ar.astype(np.float32).tobytes()
+        assert term.alpha_c.tobytes() == ac.astype(np.float32).tobytes()
+        assert term.signs.tobytes() == b.astype(np.int8).tobytes()
+    if mu is None:
+        assert fit.row_mean is None
+    else:
+        assert fit.row_mean.tobytes() == mu.astype(np.float32).tobytes()
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_stacked_fit_matches_per_group_oracle(data):
+    size = data.draw(st.integers(1, 4), label="groups")
+    rows = data.draw(st.integers(1, 12), label="rows")
+    width = data.draw(st.sampled_from([1, 3, 8, 17, 128]), label="width")
+    cfg = DaqConfig(
+        order=data.draw(st.integers(1, 3), label="order"),
+        sweeps=data.draw(st.integers(0, 11), label="sweeps"),
+        tol=data.draw(st.sampled_from([0.0, 1e-6, 1e-2]), label="tol"),
+        row_center=data.draw(st.booleans(), label="row_center"),
+    )
+    rng = Rng(data.draw(st.integers(0, 2**16), label="seed"), 0)
+    # groups are column slices of one matrix, as the pipeline passes them
+    matrix = np.asarray(rng.gaussian((rows, size * width)))
+    if data.draw(st.booleans(), label="halves"):
+        matrix = np.round(2.0 * matrix) / 2.0  # ties in the sign search, early rollbacks
+    zero = data.draw(st.integers(0, size - 1), label="zero group")
+    matrix[:, zero * width : (zero + 1) * width] = 0.0
+    weights = None
+    if data.draw(st.booleans(), label="weighted"):
+        weights = np.where(np.asarray(rng.uniform((rows, size * width))) < 0.1, 2.5, 1.0)
+    columns = [slice(g * width, (g + 1) * width) for g in range(size)]
+    blocks = [matrix[:, cols] for cols in columns]
+    lams = None if weights is None else [weights[:, cols] for cols in columns]
+    cap = data.draw(st.sampled_from([1, 2 * rows * width, daq._MAX_STACK_WEIGHTS]), label="cap")
+    with mock.patch.object(daq, "_MAX_STACK_WEIGHTS", cap):
+        fits = daq._fit_groups(blocks, lams, cfg)
+    assert len(fits) == size
+    for g, fit in enumerate(fits):
+        _assert_same_as_oracle(fit, blocks[g], None if lams is None else lams[g], cfg)
+
+
+def test_stacked_fit_keeps_each_groups_stop():
+    # in one stack: two groups that roll back after 9 and 8 recorded sweeps
+    # (seeds found by search), one that runs every sweep, and an all-zero group
+    # that stops on its first sweep
+    cfg = DaqConfig(order=1, sweeps=11, tol=0.0, row_center=False)
+    blocks = [
+        _gauss((6, 8), seed=1),
+        _gauss((6, 8), seed=6),
+        _gauss((6, 8), seed=9) * np.arange(1, 49).reshape(6, 8),
+        np.zeros((6, 8)),
+    ]
+    fits = daq._fit_groups(blocks, None, cfg)
+    assert [len(fit.loss_history) - 1 for fit in fits] == [9, 8, 11, 1]
+    for fit, w in zip(fits, blocks):
+        _assert_same_as_oracle(fit, w, None, cfg)

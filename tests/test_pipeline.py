@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskquant import daq
 from maskquant.cli import main
 from maskquant.container import read_tensor, write_tensor
 from maskquant.daq import DaqConfig, daq_fit
@@ -20,7 +21,9 @@ from maskquant.errors import ConfigError, ShapeError
 from maskquant.mcs import simulate
 from maskquant.pipeline import (
     PipelineConfig,
+    _calibrate,
     _eval_set,
+    _quantize,
     ablation_grid,
     calibration_tokens,
     cmd_calib,
@@ -30,6 +33,7 @@ from maskquant.pipeline import (
     get_model,
     load_config,
     parse_config_file,
+    target_layers,
 )
 from maskquant.qformat import MAGIC, build_layer, read_qpk, write_qpk
 from maskquant.rng import Rng
@@ -718,6 +722,11 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
         pytest.param(_config_with("d_hidden=100000000"), 2, id="d_hidden_beyond_weight_bound"),
         pytest.param(_config_with("n_blocks=10" + "0" * 29), 2, id="n_blocks_beyond_weight_bound"),
         pytest.param(
+            _config_with("d_model=4194304\nvocab=2\nd_hidden=1\nn_blocks=1"),
+            2,
+            id="d_model_beyond_gram_bound",
+        ),
+        pytest.param(
             _config_with(
                 "positional=true\nseq_len=16777216\ncalib_sequences=1\neval_sequences=1\n"
                 "timesteps=1"
@@ -772,3 +781,60 @@ def test_cli_ablate(tmp_path, capsys):
     assert len(grid["arms"]) == 8
     assert [line.split(":")[0].strip() for line in lines[:-1]] == sorted(grid["arms"])
     assert lines[-1] == f"direction_ok={grid['direction_ok']}"
+
+
+def test_quantize_fits_same_kind_groups_in_capped_stacks(tmp_path, monkeypatch):
+    # the README toy shapes: per block, 16 groups of 384x8 and 48 of 128x8
+    cfg = PipelineConfig(
+        d_model=128, d_hidden=384, seq_len=64, calib_sequences=4, group_width=8,
+        out_dir=str(tmp_path),
+    )
+    model = get_model(cfg)
+    names = target_layers(cfg, model)
+    moments = _calibrate(cfg, model, names, calibration_tokens(cfg, model.spec))
+    stacks = []
+    fit_stack = daq._fit_stack
+
+    def spy(target, lam2, daq_cfg):
+        stacks.append(target.shape)
+        return fit_stack(target, lam2, daq_cfg)
+
+    monkeypatch.setattr(daq, "_fit_stack", spy)
+    records, report = _quantize(cfg, model, names, moments)
+    assert max(size for size, _, _ in stacks) > 1
+    assert all(size * rows * cols <= daq._MAX_STACK_WEIGHTS for size, rows, cols in stacks)
+    assert sum(size for size, _, _ in stacks) == sum(len(r.groups) for r in records)
+    # one group at a time gives the same packed bytes and report
+    monkeypatch.setattr(daq, "_MAX_STACK_WEIGHTS", 1)
+    stacks.clear()
+    alone_records, alone_report = _quantize(cfg, model, names, moments)
+    assert {size for size, _, _ in stacks} == {1}
+    write_qpk(tmp_path / "stacked.qpk", records)
+    write_qpk(tmp_path / "alone.qpk", alone_records)
+    assert (tmp_path / "stacked.qpk").read_bytes() == (tmp_path / "alone.qpk").read_bytes()
+    assert report == alone_report
+
+
+def test_config_refuses_grams_beyond_bound():
+    # 25,165,824 weights pass the weight bound, but block0.up's gram would
+    # hold 2^44 entries; the config is refused before anything is allocated
+    with pytest.raises(ConfigError, match="second-moment entries"):
+        PipelineConfig(d_model=2**22, vocab=2, d_hidden=1, n_blocks=1)
+    with pytest.raises(ConfigError, match="second-moment entries"):
+        PipelineConfig(d_model=2**22, vocab=2, d_hidden=1, n_blocks=1, layers=("block0.up",))
+    # block0.down alone reads d_hidden = 1 input
+    PipelineConfig(d_model=2**22, vocab=2, d_hidden=1, n_blocks=1, layers=("block0.down",))
+
+
+def test_calib_refuses_saved_model_beyond_gram_bound(tmp_path, monkeypatch, capsys):
+    # a saved 16/32 model holds 2 * (16^2 + 32^2) = 2560 gram entries; the
+    # config's own dims (1/1) hold 4, so only the model's are refused
+    save_model(init_model(ToyModelSpec(d_model=16, d_hidden=32, seq_len=8)), tmp_path / "w")
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(f"model_dir={tmp_path / 'w'}\nd_model=1\nd_hidden=1\nseq_len=8\n")
+    monkeypatch.setattr("maskquant.pipeline._MAX_GRAM_ENTRIES", 100)
+    allocated = []
+    monkeypatch.setattr("maskquant.stats.SecondMoment.__init__", lambda *a: allocated.append(a))
+    assert main(["calib", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "2560 second-moment entries" in capsys.readouterr().err
+    assert allocated == []
