@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -159,10 +159,18 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=0, keepdims=True))
 
 
+def _reference_logits(model: ToyModel, ids: np.ndarray):
+    """Full-precision logits of each block of rows of the 2-D id array `ids`,
+    in the blocks :func:`eval_divergence` scores, one block at a time."""
+    for block in _row_blocks(ids):
+        yield forward(model, block)[0]
+
+
 def eval_divergence(
     model: ToyModel,
     quantized_layers: Mapping[str, np.ndarray],
     eval_set: np.ndarray,
+    reference: Iterable[np.ndarray] | None = None,
 ) -> dict[str, float]:
     """Mean squared logit error and mean per-position softmax KL between the
     full-precision model and the model with `quantized_layers` substituted,
@@ -172,21 +180,29 @@ def eval_divergence(
     sequence by sequence from each row's own columns, so the metrics equal
     those of one forward per sequence wherever :func:`forward` reproduces a
     row's columns bit for bit. Both metrics are exactly zero when the
-    substituted weights are the originals.
+    substituted weights are the originals. `reference` holds the
+    full-precision logits of each block, as `_reference_logits` yields them,
+    for callers that score several variants on one set; by default each
+    block's are computed as it is scored.
     """
     ids = np.asarray(eval_set)
     if ids.size == 0:
         raise ValueError("empty eval set")
     if ids.ndim != 2:
         raise ShapeError(f"eval set must be a 2-D (rows, length) id array, got shape {ids.shape}")
+    if reference is None:
+        reference = _reference_logits(model, ids)
     length = ids.shape[1]
     sq_sum = 0.0
     sq_count = 0
     kl_sum = 0.0
     kl_count = 0
-    for block in _row_blocks(ids):
-        ref_block, _ = forward(model, block)
+    for block, ref_block in zip(_row_blocks(ids), reference, strict=True):
         quant_block, _ = forward(model, block, overrides=quantized_layers)
+        if ref_block.shape != quant_block.shape:
+            raise ShapeError(
+                f"reference logits have shape {ref_block.shape}, expected {quant_block.shape}"
+            )
         for start in range(0, ref_block.shape[1], length):
             ref = ref_block[:, start : start + length]
             quant = quant_block[:, start : start + length]

@@ -13,7 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .container import ContainerError, _write_atomic, read_tensor
 from .denoiser import (
     ToyModel,
     ToyModelSpec,
+    _reference_logits,
     _row_blocks,
     _tensor_shapes,
     eval_divergence,
@@ -385,18 +386,33 @@ class _SingularMoment(ValueError):
         self.layer = layer
 
 
-def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
+@dataclass
+class _Shared:
+    """Results that depend on less than a whole arm, computed by the first
+    arm of a grid that needs them and reused by the later ones; a lone
+    quantize starts from an empty one. A key names everything its result
+    depends on besides the model and, for `inv_diags`, the moments, so a
+    reused result is the one the arm would have computed."""
+
+    inv_diags: dict = field(default_factory=dict)  # (layer, damp_rel) -> damped inverse diagonal
+    # (layer, column range, DaqConfig, weight-mask key or None) -> QuantizedGroup
+    fits: dict = field(default_factory=dict)
+
+
+def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, shared: _Shared):
     rows, cols = weights.shape
     importance = None
     lam = None
     outlier_fraction = None
     if cfg.use_dor or cfg.use_abmp:
-        try:
-            inv_diag = stats.damped_inverse_diag(sm, cfg.damp_rel)
-        except ValueError as exc:
-            msg = f"layer {name!r}: {exc} (damp_rel={cfg.damp_rel:g})"
-            raise _SingularMoment(name, msg) from exc
-        importance = stats.importance_matrix(weights, inv_diag)
+        inv_key = (name, cfg.damp_rel)
+        if inv_key not in shared.inv_diags:
+            try:
+                shared.inv_diags[inv_key] = stats.damped_inverse_diag(sm, cfg.damp_rel)
+            except ValueError as exc:
+                msg = f"layer {name!r}: {exc} (damp_rel={cfg.damp_rel:g})"
+                raise _SingularMoment(name, msg) from exc
+        importance = stats.importance_matrix(weights, shared.inv_diags[inv_key])
     if cfg.use_dor:
         mask = stats.build_importance_mask(importance, cfg.lambda_weight)
         lam = mask.weights()
@@ -411,16 +427,25 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
     else:
         alloc = abmp.BitAllocation(orders=(cfg.order,) * len(part.ranges), reallocated=0)
 
-    # groups of one order and width are fitted together
-    groups = [None] * len(part.ranges)
+    # a group's fit depends on its columns of the target and of the weight
+    # mask, and on its DaqConfig, not on the stack it runs in; the mask's
+    # columns are 1 and lambda_weight where its outlier bits say
+    keys = []
+    for (start, end), order in zip(part.ranges, alloc.orders):
+        weighting = None
+        if lam is not None:
+            weighting = (cfg.lambda_weight, np.packbits(mask.mask[:, start:end]).tobytes())
+        keys.append((name, (start, end), cfg.daq_config(order), weighting))
+    missing = [i for i, key in enumerate(keys) if key not in shared.fits]
+    # missing groups of one order and width are fitted together
     kinds = list(zip(alloc.orders, part.widths()))
-    for kind in dict.fromkeys(kinds):
-        members = [i for i, other in enumerate(kinds) if other == kind]
+    for kind in dict.fromkeys(kinds[i] for i in missing):
+        members = [i for i in missing if kinds[i] == kind]
         columns = [slice(*part.ranges[i]) for i in members]
         lams = None if lam is None else [lam[:, cols] for cols in columns]
         fits = daq._fit_groups([target[:, cols] for cols in columns], lams, cfg.daq_config(kind[0]))
-        for i, fit in zip(members, fits):
-            groups[i] = fit
+        shared.fits.update(zip([keys[i] for i in members], fits))
+    groups = [shared.fits[key] for key in keys]
     loss_init = 0.0
     loss_final = 0.0
     for fit in groups:
@@ -456,15 +481,27 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig):
     return record, row
 
 
-def _quantize(cfg: PipelineConfig, model: ToyModel, names: list[str], moments: dict):
-    """Quantize the named layers against their second moments in `moments`.
-    Returns the packed records and the report, whose `eval` is null. A moment
-    that stays singular after damping raises _SingularMoment."""
+def _quantize(
+    cfg: PipelineConfig,
+    model: ToyModel,
+    names: list[str],
+    moments: dict,
+    shared: _Shared | None = None,
+):
+    """Quantize the named layers against their second moments in `moments`,
+    reusing and adding to the results in `shared`, whose inverse diagonals
+    come from `moments`. Without `shared` nothing is reused, and each
+    layer's fits are freed once it is packed. Returns the packed records and
+    the report, whose `eval` is null. A moment that stays singular after
+    damping raises _SingularMoment."""
     records = []
     layer_rows = {}
     for name in names:
         try:
-            record, row = _quantize_layer(name, model.layers[name], moments.get(name), cfg)
+            layer_shared = _Shared() if shared is None else shared
+            record, row = _quantize_layer(
+                name, model.layers[name], moments.get(name), cfg, layer_shared
+            )
         except ShapeError as exc:
             raise ShapeError(f"layer {name!r}: {exc}") from exc
         records.append(record)
@@ -565,13 +602,19 @@ def _read_report(path) -> dict:
     return report
 
 
-def _evaluate(cfg: PipelineConfig, model: ToyModel, layers: list) -> dict:
+def _evaluate(
+    cfg: PipelineConfig, model: ToyModel, layers: list, eval_set=None, reference=None
+) -> dict:
     """The report's `eval` row: the model with the packed `layers` against
     full precision on the held-out masked set. The set uses its own seed,
-    derived from the run seed, so it never overlaps the calibration draws."""
+    derived from the run seed, so it never overlaps the calibration draws.
+    A grid passes the set and its full-precision logits, computed once for
+    all arms; by default they are computed here, block by block."""
     # forward refuses a layer the model lacks or whose shape differs (ShapeError)
     overrides = {layer.name: qformat.dequantize(layer) for layer in layers}
-    metrics = eval_divergence(model, overrides, _eval_set(cfg, model.spec))
+    if eval_set is None:
+        eval_set = _eval_set(cfg, model.spec)
+    metrics = eval_divergence(model, overrides, eval_set, reference)
     return {**metrics, "eval_sequences": cfg.eval_sequences}
 
 
@@ -661,10 +704,11 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     Arms: the full pipeline, each stage disabled in isolation, a plain
     uniform arm (no saliency weighting, no mixed precision), and a
     reallocation-ratio sweep. Arms with one statistics fingerprint share one
-    calibration, kept in memory. Also records whether the full pipeline beat
-    the plain uniform arm on held-out divergence; small-model runs are not
-    guaranteed to preserve that ordering, so a violation is flagged rather
-    than fatal.
+    calibration, kept in memory, and its inverse diagonals; all arms share
+    the DAQ fits, the eval set and its full-precision logits (see _Shared).
+    Also records whether the full pipeline beat the plain uniform arm on
+    held-out divergence; small-model runs are not guaranteed to preserve
+    that ordering, so a violation is flagged rather than fatal.
     """
     arms: dict[str, dict] = {
         "full": {},
@@ -679,6 +723,10 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     model = get_model(cfg)
     names = target_layers(cfg, model)
     tokens = calibration_tokens(cfg, model.spec)
+    # the arms override no field the eval set depends on
+    eval_set = _eval_set(cfg, model.spec)
+    reference = list(_reference_logits(model, eval_set))
+    shared = _Shared()
     plan = []  # (statistics fingerprint, "" for an arm that uses none; arm; its config)
     for arm, override in arms.items():
         sub = dataclasses.replace(cfg, out_dir=str(Path(cfg.out_dir) / "arms" / arm), **override)
@@ -690,12 +738,13 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     for stats_key, arm, sub in sorted(plan, key=lambda step: step[0]):
         if stats_key != current:
             current, moments = stats_key, None
+            shared.inv_diags.clear()  # they came from the previous moments
             moments = _calibrate(sub, model, names, tokens) if stats_key else {}
         try:
-            records, report = _quantize(sub, model, names, moments)
+            records, report = _quantize(sub, model, names, moments, shared)
         except _SingularMoment as exc:
             raise ConfigError(f"arm {arm!r}: {exc}") from exc
-        report["eval"] = _evaluate(sub, model, records)
+        report["eval"] = _evaluate(sub, model, records, eval_set, reference)
         _write_run(sub, records, report)
         results[arm] = {
             "divergence": report["eval"],

@@ -63,12 +63,20 @@ class QpkFormatError(Exception):
     """Malformed QPK payload."""
 
 
+def _is_pm1(a: np.ndarray) -> np.ndarray:
+    """Whether each entry is -1 or +1, exactly as np.isin(a, (-1, 1)) decides,
+    without isin's overhead for real dtypes. `a == -1` would raise on
+    unsigned dtypes; |a| == 1 holds for exactly -1 and +1 (int8's -128 keeps
+    its sign under abs). Complex, object and string entries keep isin."""
+    return np.abs(a) == 1 if a.dtype.kind in "biuf" else np.isin(a, (-1, 1))
+
+
 def pack_signs(signs: np.ndarray) -> np.ndarray:
     """Pack a +-1 matrix into u64 words: row-major bits, LSB first, +1 -> 1."""
     signs = np.asarray(signs)
     if signs.ndim != 2:
         raise ShapeError("sign matrix must be 2-D")
-    if not np.isin(signs, (-1, 1)).all():
+    if not _is_pm1(signs).all():
         raise ValueError("sign matrix entries must be +-1")
     bits = (signs > 0).astype(np.uint8).ravel()
     pad = (-bits.size) % 64

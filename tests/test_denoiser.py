@@ -7,6 +7,7 @@ from maskquant.container import ContainerError, write_tensor
 from maskquant.daq import DaqConfig, daq_fit
 from maskquant.denoiser import (
     ToyModelSpec,
+    _reference_logits,
     eval_divergence,
     forward,
     init_model,
@@ -198,6 +199,25 @@ def test_divergence_blocks_equal_per_sequence_loop(positional):
         for n in model.quantizable_names()
     }
     assert eval_divergence(model, quantized, seqs) == _divergence_per_sequence(model, quantized, seqs)
+
+
+def test_divergence_with_precomputed_reference():
+    # 19 rows run as blocks of 8, 8 and 3; the reference holds one array per block
+    model = _model()
+    seqs = np.stack(_sequences(model, 10)[:19])
+    quantized = {
+        n: np.asarray(daq_fit(model.layers[n], cfg=DaqConfig(order=1)).reconstruct(), np.float32)
+        for n in model.quantizable_names()
+    }
+    reference = list(_reference_logits(model, seqs))
+    assert [r.shape[1] for r in reference] == [8 * 64, 8 * 64, 3 * 64]
+    expected = eval_divergence(model, quantized, seqs)
+    assert eval_divergence(model, quantized, seqs, reference) == expected
+    assert eval_divergence(model, quantized, seqs, iter(reference)) == expected
+    with pytest.raises(ValueError):  # a block short
+        eval_divergence(model, quantized, seqs, reference[:2])
+    with pytest.raises(ShapeError, match="reference logits have shape"):
+        eval_divergence(model, quantized, seqs, [r[:, :64] for r in reference])
 
 
 def test_divergence_deterministic_and_order_recorded():

@@ -249,11 +249,28 @@ def test_grid_calibrates_once_per_statistics_fingerprint(tmp_path, monkeypatch, 
     assert not list(arms.glob("*/stats"))
 
 
+_ARMS = {
+    "full": {},
+    "no_mcs": {"use_mcs": False},
+    "no_dor": {"use_dor": False},
+    "no_abmp": {"use_abmp": False},
+    "plain_uniform": {"use_dor": False, "use_abmp": False},
+    "ratio_0": {"ratio": 0.0},
+    "ratio_0.1": {"ratio": 0.10},
+    "ratio_0.15": {"ratio": 0.15},
+}
+
+
 def test_grid_arms_match_standalone_runs(tmp_path):
-    cfg = _cfg(tmp_path)
-    ablation_grid(cfg)
-    for arm, override in (("no_mcs", {"use_mcs": False}), ("ratio_0.1", {"ratio": 0.10})):
-        alone = _cfg(tmp_path, out_dir=str(tmp_path / arm), **override)
+    # the arms share fits, inverse diagonals and the eval reference, so
+    # each must still write what a run of its config alone writes; width-4
+    # groups give the ratio arms order-1 and order-3 groups next to order 2
+    cfg = _cfg(tmp_path, group_width=4)
+    grid = ablation_grid(cfg)
+    assert sorted(grid["arms"]) == sorted(_ARMS)
+    reallocated = set()
+    for arm, override in _ARMS.items():
+        alone = _cfg(tmp_path, group_width=4, out_dir=str(tmp_path / arm), **override)
         cmd_calib(alone)
         cmd_quantize(alone)
         cmd_eval(alone)
@@ -263,6 +280,48 @@ def test_grid_arms_match_standalone_runs(tmp_path):
             str(arm_dir).encode(), alone.out_dir.encode()
         )
         assert report == alone.report_path.read_bytes(), arm
+        if any(row["reallocated"] for row in json.loads(report)["layers"].values()):
+            reallocated.add(arm)
+    assert reallocated == {"ratio_0.15"}
+
+
+def test_grid_does_each_shared_piece_of_work_once(tmp_path, monkeypatch):
+    import maskquant.denoiser
+    import maskquant.pipeline
+    from maskquant import stats
+
+    fitted = []  # (target bytes, squared-mask bytes, DaqConfig) of every fitted group
+    inverted = []  # gram bytes of every damped_inverse_diag call
+    eval_sets = []
+    eval_tokens = []
+
+    def spy(module, name, record):
+        inner = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            record(*args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    def stack(target, lam2, daq_cfg):
+        for j in range(len(target)):
+            mask = None if lam2 is None else lam2[j].tobytes()
+            fitted.append((target[j].tobytes(), mask, daq_cfg))
+
+    spy(daq, "_fit_stack", stack)
+    spy(stats, "damped_inverse_diag", lambda sm, *args: inverted.append(sm.gram.tobytes()))
+    spy(maskquant.pipeline, "_eval_set", lambda cfg, spec: eval_sets.append(cfg.seed))
+    spy(maskquant.denoiser, "forward", lambda model, ids, *args: eval_tokens.append(ids.size))
+    cfg = _cfg(tmp_path)
+    ablation_grid(cfg)
+    model = get_model(cfg)
+    assert len(fitted) == len(set(fitted))
+    # masked moments for most arms, visible ones for no_mcs
+    assert len(inverted) == len(set(inverted)) == 2 * len(model.quantizable_names())
+    assert len(eval_sets) == 1
+    # one reference pass, then one pass per arm with its quantized layers
+    assert sum(eval_tokens) == (1 + 8) * _eval_set(cfg, model.spec).size
 
 
 def test_calib_deterministic_bytes(tmp_path):

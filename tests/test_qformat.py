@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskquant import qformat
 from maskquant.daq import DaqConfig, daq_fit
 from maskquant.errors import ShapeError
 from maskquant.qformat import (
@@ -82,6 +83,52 @@ def test_pack_unpack_roundtrip_property(rows, cols, seed):
 def test_pack_rejects_non_sign_values():
     with pytest.raises(ValueError):
         pack_signs(np.array([[0, 1]], dtype=np.int8))
+
+
+_SIGN_DTYPES = (np.int8, np.int16, np.int64, np.uint8, np.uint64, np.bool_, np.float32, np.float64)
+_SIGN_VALUES = (-1, 1, 0, 2, -2, -128, 127, 255, 256, -(2**63), 2**64 - 1, 0.5, -1.5,
+                float("nan"), float("inf"), -float("inf"))
+
+
+def _sign_values(dtype) -> np.ndarray:
+    """The values of _SIGN_VALUES that `dtype` holds exactly."""
+    if dtype is np.bool_:
+        return np.array([True, False])
+    out = []
+    for v in _SIGN_VALUES:
+        if np.dtype(dtype).kind == "f":
+            out.append(v)
+        elif float(v).is_integer() and np.iinfo(dtype).min <= v <= np.iinfo(dtype).max:
+            out.append(int(v))
+    return np.array(out, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", _SIGN_DTYPES, ids=lambda d: np.dtype(d).name)
+def test_pack_accepts_what_isin_accepts(dtype):
+    values = _sign_values(dtype)
+    planes = [values[None, :], values[:, None]]
+    planes += [v.reshape(1, 1) for v in values]
+    rng = np.random.default_rng(3)
+    planes += [rng.choice(values, size=(4, 5)) for _ in range(50)]
+    pm1 = values[np.isin(values, (-1, 1))]
+    planes += [rng.choice(pm1, size=(3, 70)) for _ in range(10)]
+    for plane in planes:
+        accepted = bool(np.isin(plane, (-1, 1)).all())  # the check pack_signs used to make
+        assert np.array_equal(qformat._is_pm1(plane), np.isin(plane, (-1, 1))), plane
+        if accepted:
+            assert np.array_equal(pack_signs(plane), pack_signs(np.where(plane > 0, 1, -1)))
+        else:
+            with pytest.raises(ValueError):
+                pack_signs(plane)
+
+
+def test_pack_keeps_isin_for_other_dtypes():
+    # complex 1j has modulus 1 but is not +-1; a string is no sign at all
+    with pytest.raises(ValueError):
+        pack_signs(np.array([[1 + 0j, 1j]]))
+    assert np.array_equal(pack_signs(np.array([[1 + 0j, -1 + 0j]])), pack_signs(np.array([[1, -1]])))
+    with pytest.raises(ValueError):
+        pack_signs(np.array([["1", "-1"]]))
 
 
 def test_unpack_rejects_nonzero_padding():
