@@ -35,7 +35,6 @@ class DaqConfig:
     sweeps: int = 10         # maximum refinement passes
     tol: float = 1e-6        # relative improvement below which refinement stops
     epsilon: float = 1e-8    # stabilizer added to update denominators
-    row_center: bool = True  # subtract per-row means before fitting
 
     def __post_init__(self):
         if self.order not in (1, 2, 3):
@@ -62,14 +61,13 @@ class RCBinaryOrder:
 
 @dataclass
 class QuantizedGroup:
-    """Sum of binary terms plus an optional per-row mean.
+    """Sum of binary terms.
 
     loss_history holds the float64 weighted objective after the greedy
     initialization and after each refinement sweep.
     """
 
     orders: list[RCBinaryOrder]
-    row_mean: np.ndarray | None = None
     loss_history: list[float] = field(default_factory=list)
 
     @property
@@ -80,8 +78,6 @@ class QuantizedGroup:
         total = np.zeros(self.shape, dtype=np.float64)
         for term in self.orders:
             total += term.reconstruct()
-        if self.row_mean is not None:
-            total += np.asarray(self.row_mean, dtype=np.float64)[:, None]
         return total
 
 
@@ -136,19 +132,15 @@ def center_rows(w) -> tuple[np.ndarray, np.ndarray]:
     return mu, w - mu[:, None]
 
 
-def classic_binarize(w, row_center: bool = True):
+def classic_binarize(w):
     """Per-row single-scale binarization: sign carrier times the row mean of
-    absolute values, optionally after removing per-row means.
-
-    Returns (alpha_r, signs, row_mean); row_mean is None when centering is off.
+    absolute values. Returns (alpha_r, signs); to binarize around the row
+    means, pass the second result of center_rows.
     """
     w = _validated(w)
-    mu = None
-    if row_center:
-        mu, w = center_rows(w)
     alpha_r = np.abs(w).mean(axis=1)
     signs = np.where(w >= 0, 1, -1).astype(np.int8)
-    return alpha_r, signs, mu
+    return alpha_r, signs
 
 
 def _rc_init(x: np.ndarray):
@@ -302,9 +294,9 @@ def _fit_stack(
     target: np.ndarray, lam2: np.ndarray | None, cfg: DaqConfig
 ) -> list[QuantizedGroup]:
     """daq_fit of each matrix of the stack `target` (G, rows, cols) against
-    the squared weight masks `lam2` (the same shape, or None), without row
-    centering. A group that stops leaves the stack, so each keeps its own
-    tolerance stop, sweep limit and rollback."""
+    the squared weight masks `lam2` (the same shape, or None). A group that
+    stops leaves the stack, so each keeps its own tolerance stop, sweep limit
+    and rollback."""
     order = cfg.order
     size, rows, cols = target.shape
     terms = np.empty((order, size, rows, cols))  # outer(alpha_r, alpha_c) * signs of each term
@@ -366,17 +358,13 @@ def _fit_groups(blocks, lams, cfg: DaqConfig) -> list[QuantizedGroup]:
         if lams is not None:
             chunk = lams[start : start + step]
             lam2 = np.stack([_squared_weights(lam, w.shape) for lam, w in zip(chunk, ws)])
-        means = [None] * len(ws)
-        if cfg.row_center:
-            means, ws = zip(*map(center_rows, ws))
-        for fit, mu in zip(_fit_stack(np.stack(ws), lam2, cfg), means):
-            fit.row_mean = None if mu is None else mu.astype(np.float32)
-            fits.append(fit)
+        fits += _fit_stack(np.stack(ws), lam2, cfg)
     return fits
 
 
 def daq_fit(w, lam=None, cfg: DaqConfig | None = None) -> QuantizedGroup:
-    """Fit a multi-binary representation of `w`.
+    """Fit a multi-binary representation of `w` as given: rows are not
+    centered here (see center_rows).
 
     Greedy phase: each term is initialized on the residual left by the
     previous ones. Refinement phase: for each term in turn, both scale

@@ -58,22 +58,19 @@ def sample_mask(
     t_index: int,
     cfg: McsConfig,
     rng: Rng,
-    alpha: float | None = None,
 ) -> MaskedSequence:
     """Mask one sequence at one timestep.
 
     The first floor(prefix_ratio * length) positions stay visible; every
-    other position is kept with probability alpha (defaults to the schedule
-    value at t_index) and replaced by cfg.mask_id otherwise. `alpha` may be
-    overridden for schedule-free use.
+    other position is kept with probability alpha, the schedule value at
+    t_index, and replaced by cfg.mask_id otherwise.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 1 or tokens.size == 0:
         raise ValueError("tokens must be a nonempty 1-D array")
     if (tokens == cfg.mask_id).any():
         raise ValueError("source sequence already contains the mask token")
-    if alpha is None:
-        alpha = visibility_schedule(t_index, cfg.timesteps)
+    alpha = visibility_schedule(t_index, cfg.timesteps)
     length = tokens.size
     prefix_len = floor_fraction(cfg.prefix_ratio, length)
     visible = rng.uniform(length) < alpha

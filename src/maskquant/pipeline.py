@@ -151,7 +151,6 @@ class PipelineConfig:
             sweeps=self.sweeps,
             tol=self.tol,
             epsilon=self.epsilon,
-            row_center=False,  # centering happens once per layer, not per group
         )
 
     def echo(self) -> dict:
@@ -557,7 +556,22 @@ def _fp16_params(model: ToyModel, quantized: list[str]) -> int:
 
 
 def _write_report(path: Path, report: dict) -> None:
-    _write_atomic(path, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
+    """Write `report` as JSON. A non-finite number, which JSON cannot hold,
+    raises ContainerError and leaves the file at `path` as it was."""
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ContainerError(f"{path}: the report holds a non-finite number; not written") from None
+    _write_atomic(path, (text + "\n").encode())
+
+
+def _finite(text: str) -> float:
+    """A JSON number or constant as a float, refusing NaN, Infinity and
+    numbers beyond the float range (such as 1e400)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 _NUMBER = (int, float)
@@ -578,12 +592,15 @@ _REPORT_FIELDS = {
 def _read_report(path) -> dict:
     """The run report at `path`. Anything but a UTF-8 JSON object whose
     layer rows, `memory` and `eval` (each may be null) hold the fields in
-    `_REPORT_FIELDS` raises ContainerError."""
+    `_REPORT_FIELDS` raises ContainerError, as does a non-finite number anywhere."""
     path = Path(path)
     try:
-        report = json.loads(path.read_bytes().decode("utf-8"))
+        text = path.read_bytes().decode("utf-8")
+        report = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: not a JSON report: {exc}") from None
+    except ValueError as exc:  # from _finite
+        raise ContainerError(f"{path}: {exc}") from None
     if not isinstance(report, dict):
         raise ContainerError(f"{path}: a report is a JSON object, not {type(report).__name__}")
     layers = report.get("layers", {})
@@ -624,13 +641,13 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
         raise FileNotFoundError(f"{cfg.report_path} not found; run quantize first")
     report = _read_report(cfg.report_path)
     model = get_model(cfg)
-    report["eval"] = _evaluate(cfg, model, qformat.read_qpk(cfg.qpk_path))
     model_sha256 = _weights_sha256(model).hexdigest()
     if report.get("model_sha256", model_sha256) != model_sha256:
         raise ConfigError(
             f"{cfg.report_path} belongs to a model quantized from other weights than "
             "this config's; rerun quantize with this config"
         )
+    report["eval"] = _evaluate(cfg, model, qformat.read_qpk(cfg.qpk_path))
     _write_report(cfg.report_path, report)
     return report
 

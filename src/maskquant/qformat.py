@@ -161,10 +161,6 @@ def build_layer(
         raise ShapeError("groups disagree on row count")
     if sum(g.shape[1] for g in groups) != cols:
         raise ShapeError("group widths do not sum to the layer's columns")
-    for i, g in enumerate(groups):
-        # the file stores one row mean per layer; a group's own mean would be lost
-        if g.row_mean is not None and (row_mean is None or not np.array_equal(g.row_mean, row_mean)):
-            raise ValueError(f"layer {name!r}: group {i} has its own row mean, not the layer's")
     mean16 = None
     if row_mean is not None:
         mean16 = _half(row_mean, f"layer {name!r}: row means")

@@ -15,7 +15,14 @@ import pytest
 
 from maskquant.abmp import allocate
 from maskquant.container import read_tensor, write_tensor
-from maskquant.daq import DaqConfig, daq_fit, update_alpha_c, update_alpha_r, update_signs
+from maskquant.daq import (
+    DaqConfig,
+    center_rows,
+    daq_fit,
+    update_alpha_c,
+    update_alpha_r,
+    update_signs,
+)
 from maskquant.mcs import McsConfig, simulate, visibility_schedule
 from maskquant.pipeline import PipelineConfig, ablation_grid, cmd_calib, cmd_eval, cmd_quantize
 from maskquant.qformat import (
@@ -59,7 +66,7 @@ def test_c01_monotone_descent_suite():
     started = time.monotonic()
     checked = 0
     for index in range(50):
-        w = _suite_matrix(index)
+        _, w = center_rows(_suite_matrix(index))
         lam = _suite_weights(index, w.shape)
         order = index % 3 + 1
         fit = daq_fit(w, lam, DaqConfig(order=order))
@@ -157,7 +164,7 @@ def test_c03_sign_search_oracle():
 
 def test_c04_order_dominance_and_exact_instances():
     for index in range(50):
-        w = _suite_matrix(index)
+        _, w = center_rows(_suite_matrix(index))
         losses = [daq_fit(w, cfg=DaqConfig(order=k)).loss_history[-1] for k in (1, 2, 3)]
         assert losses[0] >= losses[1] * (1 - 1e-9)
         assert losses[1] >= losses[2] * (1 - 1e-9)
@@ -171,7 +178,7 @@ def test_c04_order_dominance_and_exact_instances():
         b1 = np.where(np.asarray(rng.uniform((64, 64))) < 0.5, 1.0, -1.0)
         b2 = np.where(np.asarray(rng.uniform((64, 64))) < 0.5, 1.0, -1.0)
         w = np.outer(a1, c1) * b1 + np.outer(a2, c2) * b2
-        fit = daq_fit(w, cfg=DaqConfig(order=2, sweeps=50, tol=0.0, row_center=False))
+        fit = daq_fit(w, cfg=DaqConfig(order=2, sweeps=50, tol=0.0))
         loss = proxy_loss(w, fit.reconstruct())
         exact_losses.append(loss)
         assert loss < 1e-9
@@ -260,7 +267,7 @@ def test_c08_format_roundtrips_and_matvec(tmp_path):
         groups = [
             daq_fit(
                 target[:, start : min(start + width, cols)],
-                cfg=DaqConfig(order=order, row_center=False, sweeps=2),
+                cfg=DaqConfig(order=order, sweeps=2),
             )
             for start in range(0, cols, width)
         ]
@@ -366,8 +373,8 @@ def test_c11_beats_round_to_nearest_baseline():
     ours, baseline = [], []
     for case in range(20):
         w = np.asarray(Rng(9000 + case, 0).gaussian((256, 256)))
-        fit = daq_fit(w, cfg=DaqConfig(order=2))
-        recon = fit.reconstruct()
+        mu, x = center_rows(w)
+        recon = daq_fit(x, cfg=DaqConfig(order=2)).reconstruct() + mu.astype(np.float32)[:, None]
         norm = float(np.linalg.norm(w))
         ours.append(float(np.linalg.norm(w - recon)) / norm)
         baseline.append(float(np.linalg.norm(w - rtn_2bit(w))) / norm)

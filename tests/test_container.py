@@ -17,7 +17,7 @@ from maskquant.container import (
     read_tensor,
     write_tensor,
 )
-from maskquant.daq import DaqConfig, daq_fit
+from maskquant.daq import DaqConfig, center_rows, daq_fit
 from maskquant.denoiser import ToyModelSpec, init_model, save_model
 from maskquant.pipeline import _write_report
 from maskquant.qformat import build_layer, write_qpk
@@ -177,8 +177,9 @@ def _second_moment(value):
 
 
 def _packed_layer(value):
-    group = daq_fit(np.full((4, 6), float(value), dtype=np.float32), cfg=DaqConfig(order=1))
-    return [build_layer("w", [group], 6, 6, group.row_mean)]
+    mu, x = center_rows(np.full((4, 6), float(value), dtype=np.float32))
+    group = daq_fit(x, cfg=DaqConfig(order=1))
+    return [build_layer("w", [group], 6, 6, mu.astype(np.float32))]
 
 
 # file name -> writer of a version of it into a directory

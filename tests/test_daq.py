@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from maskquant import daq
 from maskquant.daq import (
     DaqConfig,
+    center_rows,
     classic_binarize,
     daq_fit,
     update_alpha_c,
@@ -30,21 +31,22 @@ def _gauss(shape, seed, stream=0):
 
 
 def test_classic_antisymmetric_row_is_exact():
-    alpha, signs, mu = classic_binarize(np.array([[1.0, -1.0]]))
+    mu, x = center_rows(np.array([[1.0, -1.0]]))
+    alpha, signs = classic_binarize(x)
     assert mu[0] == 0.0
     assert alpha[0] == 1.0
     assert signs.tolist() == [[1, -1]]
 
 
 def test_classic_constant_row_absorbed_by_mean():
-    alpha, signs, mu = classic_binarize(np.array([[2.0, 2.0]]))
+    mu, x = center_rows(np.array([[2.0, 2.0]]))
+    alpha, signs = classic_binarize(x)
     assert mu[0] == 2.0
     assert alpha[0] == 0.0
 
 
 def test_classic_uncentered_row_means():
-    alpha, signs, mu = classic_binarize(np.array([[1.0, -2.0], [3.0, 4.0]]), row_center=False)
-    assert mu is None
+    alpha, signs = classic_binarize(np.array([[1.0, -2.0], [3.0, 4.0]]))
     assert np.allclose(alpha, [1.5, 3.5])
     assert signs.tolist() == [[1, -1], [1, 1]]
 
@@ -54,7 +56,7 @@ def test_classic_uncentered_row_means():
 
 def _greedy_term(x):
     # the greedy starting point of a single term: an order-1 fit with no sweeps
-    return daq_fit(x, cfg=DaqConfig(order=1, sweeps=0, row_center=False)).orders[0]
+    return daq_fit(x, cfg=DaqConfig(order=1, sweeps=0)).orders[0]
 
 
 def test_rc_init_frozen_example():
@@ -226,7 +228,7 @@ def test_update_signs_matches_bruteforce(order):
 
 def _refined_term(x):
     # single-term alternating fit of x itself
-    return daq_fit(x, cfg=DaqConfig(order=1, row_center=False)).orders[0]
+    return daq_fit(x, cfg=DaqConfig(order=1)).orders[0]
 
 
 def test_rsr_constant_matrix_exact():
@@ -248,7 +250,7 @@ def test_rsr_rank1_magnitude_exact():
 def test_rsr_beats_classic_on_gaussian():
     x = _gauss((64, 64), seed=8)
     fit = _refined_term(x)
-    alpha, signs, _ = classic_binarize(x, row_center=False)
+    alpha, signs = classic_binarize(x)
     classic = proxy_loss(x, alpha[:, None] * signs)
     assert proxy_loss(x, fit.reconstruct()) <= classic
 
@@ -262,7 +264,7 @@ def test_daq_exactly_representable_two_terms():
     b1 = np.where(np.asarray(rng.uniform((64, 64))) < 0.5, 1.0, -1.0)
     b2 = np.where(np.asarray(rng.uniform((64, 64))) < 0.5, 1.0, -1.0)
     w = np.outer(a1, c1) * b1 + np.outer(a2, c2) * b2
-    fit = daq_fit(w, cfg=DaqConfig(order=2, sweeps=50, tol=0.0, row_center=False))
+    fit = daq_fit(w, cfg=DaqConfig(order=2, sweeps=50, tol=0.0))
     assert proxy_loss(w, fit.reconstruct()) < 1e-9
 
 
@@ -276,41 +278,38 @@ def test_daq_order_dominance():
 
 def test_daq_history_monotone_with_weights():
     rng = Rng(12, 0)
-    w = np.asarray(rng.gaussian((48, 40)))
+    _, w = center_rows(rng.gaussian((48, 40)))
     lam = np.ones((48, 40))
     lam[np.asarray(rng.uniform((48, 40))) < 0.02] = 2.0
     group = daq_fit(w, lam, DaqConfig(order=2, sweeps=12))
     history = group.loss_history
     assert all(b <= a for a, b in zip(history, history[1:]))
     assert group.loss_history[-1] == pytest.approx(
-        proxy_loss(w - w.mean(axis=1)[:, None], group.reconstruct() - group.row_mean.astype(np.float64)[:, None], lam),
+        proxy_loss(w, group.reconstruct(), lam),
         rel=1e-5,  # float32 scale cast on the returned object
     )
 
 
-def test_daq_row_center_stores_means():
-    w = _gauss((16, 16), seed=13) + 5.0
-    group = daq_fit(w, cfg=DaqConfig(order=1))
-    assert group.row_mean is not None
-    assert np.allclose(group.row_mean, w.mean(axis=1), atol=1e-6)
-    off = daq_fit(w, cfg=DaqConfig(order=1, row_center=False))
-    assert off.row_mean is None
+def _centered_fit(w, cfg):
+    # the fit of w's centered rows with the means added back, as a layer stores them
+    mu, x = center_rows(w)
+    return daq_fit(x, cfg=cfg).reconstruct() + mu.astype(np.float32)[:, None]
 
 
 def test_daq_scale_equivariance():
     w = _gauss((20, 24), seed=14)
     tiny = DaqConfig(order=2, epsilon=1e-30)  # epsilon below rounding: exact scaling
-    base = daq_fit(w, cfg=tiny).reconstruct()
-    doubled = daq_fit(2.0 * w, cfg=tiny).reconstruct()
+    base = _centered_fit(w, tiny)
+    doubled = _centered_fit(2.0 * w, tiny)
     assert np.array_equal(doubled, 2.0 * base)
     default_cfg = DaqConfig(order=2)
-    approx = daq_fit(2.0 * w, cfg=default_cfg).reconstruct()
-    assert np.allclose(approx, 2.0 * daq_fit(w, cfg=default_cfg).reconstruct(), rtol=1e-6)
+    approx = _centered_fit(2.0 * w, default_cfg)
+    assert np.allclose(approx, 2.0 * _centered_fit(w, default_cfg), rtol=1e-6)
 
 
 def test_daq_sign_symmetry():
     w = _gauss((20, 24), seed=15)
-    cfg = DaqConfig(order=2, row_center=False)
+    cfg = DaqConfig(order=2)
     pos = daq_fit(w, cfg=cfg).reconstruct()
     neg = daq_fit(-w, cfg=cfg).reconstruct()
     assert np.array_equal(neg, -pos)
@@ -318,7 +317,7 @@ def test_daq_sign_symmetry():
 
 def test_daq_zero_sweeps_is_greedy_init():
     w = _gauss((16, 16), seed=16)
-    group = daq_fit(w, cfg=DaqConfig(order=2, sweeps=0, row_center=False))
+    group = daq_fit(w, cfg=DaqConfig(order=2, sweeps=0))
     assert len(group.loss_history) == 1
 
 
@@ -420,11 +419,10 @@ def _oracle_signs(target, scales):
 
 
 def _oracle_fit(w, lam, cfg):
-    """(loss history, [(alpha_r, alpha_c)], [signs], row means) of one group."""
-    w = np.asarray(w, dtype=np.float64)
+    """(loss history, [(alpha_r, alpha_c)], [signs]) of one group."""
+    target = np.asarray(w, dtype=np.float64)
     lam = None if lam is None else np.asarray(lam, dtype=np.float64)
     lam2 = None if lam is None else lam * lam
-    mu, target = (w.mean(axis=1), w - w.mean(axis=1)[:, None]) if cfg.row_center else (None, w)
 
     def loss(diff):
         return float((diff * diff).sum() if lam2 is None else (lam2 * diff * diff).sum())
@@ -460,21 +458,17 @@ def _oracle_fit(w, lam, cfg):
         history.append(cur)
         if prev <= 0.0 or (prev - cur) / prev < cfg.tol:
             break
-    return history, scales, signs, mu
+    return history, scales, signs
 
 
 def _assert_same_as_oracle(fit, w, lam, cfg):
-    history, scales, signs, mu = _oracle_fit(w, lam, cfg)
+    history, scales, signs = _oracle_fit(w, lam, cfg)
     assert fit.loss_history == history
     assert len(fit.orders) == cfg.order
     for term, (ar, ac), b in zip(fit.orders, scales, signs):
         assert term.alpha_r.tobytes() == ar.astype(np.float32).tobytes()
         assert term.alpha_c.tobytes() == ac.astype(np.float32).tobytes()
         assert term.signs.tobytes() == b.astype(np.int8).tobytes()
-    if mu is None:
-        assert fit.row_mean is None
-    else:
-        assert fit.row_mean.tobytes() == mu.astype(np.float32).tobytes()
 
 
 @given(data=st.data())
@@ -487,7 +481,6 @@ def test_stacked_fit_matches_per_group_oracle(data):
         order=data.draw(st.integers(1, 3), label="order"),
         sweeps=data.draw(st.integers(0, 11), label="sweeps"),
         tol=data.draw(st.sampled_from([0.0, 1e-6, 1e-2]), label="tol"),
-        row_center=data.draw(st.booleans(), label="row_center"),
     )
     rng = Rng(data.draw(st.integers(0, 2**16), label="seed"), 0)
     # groups are column slices of one matrix, as the pipeline passes them
@@ -499,6 +492,8 @@ def test_stacked_fit_matches_per_group_oracle(data):
     weights = None
     if data.draw(st.booleans(), label="weighted"):
         weights = np.where(np.asarray(rng.uniform((rows, size * width))) < 0.1, 2.5, 1.0)
+    if data.draw(st.booleans(), label="centered"):
+        _, matrix = center_rows(matrix)  # as _quantize_layer passes a layer
     columns = [slice(g * width, (g + 1) * width) for g in range(size)]
     blocks = [matrix[:, cols] for cols in columns]
     lams = None if weights is None else [weights[:, cols] for cols in columns]
@@ -514,7 +509,7 @@ def test_stacked_fit_keeps_each_groups_stop():
     # in one stack: two groups that roll back after 9 and 8 recorded sweeps
     # (seeds found by search), one that runs every sweep, and an all-zero group
     # that stops on its first sweep
-    cfg = DaqConfig(order=1, sweeps=11, tol=0.0, row_center=False)
+    cfg = DaqConfig(order=1, sweeps=11, tol=0.0)
     blocks = [
         _gauss((6, 8), seed=1),
         _gauss((6, 8), seed=6),

@@ -32,9 +32,9 @@ def _tokens(length, seed=0, vocab=64):
 
 
 def _prefix_set(length, prefix_ratio):
-    # with alpha 0 only the deterministic prefix stays visible
+    # at t = timesteps alpha is 0, so only the deterministic prefix stays visible
     cfg = McsConfig(prefix_ratio=prefix_ratio, mask_id=63)
-    seq = sample_mask(_tokens(length), 1, cfg, Rng(0, 0), alpha=0.0)
+    seq = sample_mask(_tokens(length), cfg.timesteps, cfg, Rng(0, 0))
     return frozenset(np.flatnonzero(seq.visible).tolist())
 
 
@@ -45,10 +45,11 @@ def test_prefix_sets():
     assert _prefix_set(100, 0.29) == frozenset(range(29))  # 0.29 * 100 is 28.999... in floats
 
 
-def test_alpha_one_keeps_everything():
-    cfg = McsConfig(timesteps=4, prefix_ratio=0.25, mask_id=63)
+def test_full_prefix_keeps_everything_at_alpha_zero():
+    cfg = McsConfig(timesteps=4, prefix_ratio=1.0, mask_id=63)
     tokens = _tokens(32)
-    seq = sample_mask(tokens, 1, cfg, Rng(0, 0), alpha=1.0)
+    seq = sample_mask(tokens, cfg.timesteps, cfg, Rng(0, 0))
+    assert seq.alpha == 0.0
     assert seq.visible.all()
     assert np.array_equal(seq.ids, tokens)
 
@@ -75,10 +76,10 @@ def test_visible_count_matches_expectation():
     cfg = McsConfig(timesteps=2, prefix_ratio=0.25, mask_id=63)
     tokens = _tokens(64, seed=5)
     counts = [
-        sample_mask(tokens, 1, cfg, Rng(0, i), alpha=0.5).visible.sum()
+        sample_mask(tokens, 1, cfg, Rng(0, i)).visible.sum()
         for i in range(10_000)
     ]
-    # 16 prefix positions plus Binomial(48, 0.5)
+    # 16 prefix positions plus Binomial(48, 0.5): alpha at t=1 of 2 is 0.5
     assert abs(np.mean(counts) - 40.0) <= 0.7
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from maskquant import daq
 from maskquant.cli import main
-from maskquant.container import read_tensor, write_tensor
+from maskquant.container import ContainerError, read_tensor, write_tensor
 from maskquant.daq import DaqConfig, daq_fit
 from maskquant.denoiser import ToyModelSpec, forward, init_model, save_model
 from maskquant.errors import ConfigError, ShapeError
@@ -24,6 +24,7 @@ from maskquant.pipeline import (
     _calibrate,
     _eval_set,
     _quantize,
+    _write_report,
     ablation_grid,
     calibration_tokens,
     cmd_calib,
@@ -455,6 +456,13 @@ def test_pipeline_accepts_external_weight_directory(tmp_path):
     assert set(report["layers"]) == set(model.quantizable_names())
 
 
+def _drop_model_sha256(report_path):
+    # a report without the fingerprint is accepted, so eval goes on to the layers
+    report = json.loads(report_path.read_text())
+    del report["model_sha256"]
+    report_path.write_text(json.dumps(report))
+
+
 def test_eval_rejects_mismatched_layers(tmp_path):
     cfg = _cfg(tmp_path)
     cmd_calib(cfg)
@@ -463,8 +471,31 @@ def test_eval_rejects_mismatched_layers(tmp_path):
     Path(other.out_dir).mkdir()
     for name in ("model.qpk", "report.json"):  # the 16/32 run's files under the 8/16 config
         shutil.copy(Path(cfg.out_dir) / name, other.out_dir)
+    _drop_model_sha256(Path(other.out_dir) / "report.json")
     with pytest.raises(ShapeError):
         cmd_eval(other)
+
+
+def test_eval_checks_the_model_before_scoring(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path)
+    cmd_calib(cfg)
+    cmd_quantize(cfg)
+    monkeypatch.setattr(
+        "maskquant.pipeline._evaluate", lambda *a, **k: pytest.fail("scored another model's run")
+    )
+    with pytest.raises(ConfigError, match="other weights"):
+        cmd_eval(dataclasses.replace(cfg, seed=5))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_report_refuses_non_finite_numbers(tmp_path, value):
+    path = tmp_path / "report.json"
+    _write_report(path, {"eval": {"logit_mse": 0.25, "softmax_kl": 0.5}})
+    before = path.read_bytes()
+    with pytest.raises(ContainerError, match="report.json"):
+        _write_report(path, {"eval": {"logit_mse": 0.25, "softmax_kl": value}})
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert path.read_bytes() == before
 
 
 def test_eval_refuses_qpk_flag(tmp_path, capsys):
@@ -569,6 +600,7 @@ def test_cli_exit_codes(tmp_path):
     (tmp_path / "other").mkdir()
     for name in ("model.qpk", "report.json"):  # the 16/32 run's files
         shutil.copy(tmp_path / "cli" / name, tmp_path / "other")
+    _drop_model_sha256(tmp_path / "other" / "report.json")
     assert main(["eval", "--config", str(other)]) == 4
 
 
@@ -614,7 +646,7 @@ def _weights_beyond_float16(tmp_path):
 
 
 def _qpk_with_infinite_scale(tmp_path):
-    group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1, row_center=False))
+    group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1))
     path = tmp_path / "inf.qpk"
     write_qpk(path, [build_layer("w", [group], 6, 6)])
     raw = path.read_bytes()
@@ -675,6 +707,19 @@ def _report_of(raw):
         return ["report", "--report", str(tmp_path / "report.json")]
 
     return make_args
+
+
+_REPORT_WITH_NAN = json.dumps(
+    {
+        "layers": {
+            "block0.up": {
+                "rows": 32, "cols": 16, "allocation": {}, "proxy_loss_init": float("nan"),
+                "proxy_loss_final": float("inf"),
+            }
+        },
+        "eval": {"logit_mse": float("nan"), "softmax_kl": -float("inf")},
+    }
+).encode()
 
 
 def _eval_over_report_of(raw):
@@ -761,8 +806,15 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
         pytest.param(_report_of(b"[1,2]"), 3, id="report_not_an_object"),
         pytest.param(_report_of(b'{"layers": {"a": {}}}'), 3, id="report_layer_without_rows"),
         pytest.param(_report_of(b"\xff\xfe"), 3, id="report_not_utf8"),
+        pytest.param(_report_of(_REPORT_WITH_NAN), 3, id="report_with_nan"),
+        pytest.param(_report_of(b'{"layers": {}, "seed": 1e400}'), 3, id="report_with_1e400"),
         pytest.param(_eval_over_report_of(b"[]"), 3, id="eval_over_report_not_an_object"),
         pytest.param(_eval_over_report_of(b"\xff"), 3, id="eval_over_report_not_utf8"),
+        pytest.param(
+            _eval_over_report_of(b'{"eval": {"logit_mse": Infinity, "softmax_kl": 0.5}}'),
+            3,
+            id="eval_over_report_with_infinity",
+        ),
         (_manifest_without_dims, 3),
         (_tensor_of_wrong_shape, 4),
         (_eval_of_another_model, 2),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskquant import qformat
-from maskquant.daq import DaqConfig, daq_fit
+from maskquant.daq import DaqConfig, center_rows, daq_fit
 from maskquant.errors import ShapeError
 from maskquant.qformat import (
     LayerShape,
@@ -30,14 +30,14 @@ def _random_signs(rows, cols, seed):
     return np.where(np.asarray(Rng(seed, 0).uniform((rows, cols))) < 0.5, 1, -1).astype(np.int8)
 
 
-def _fit_layer(name, rows, cols, seed, group_width=32, order=2, row_center=True):
+def _fit_layer(name, rows, cols, seed, group_width=32, order=2, centered=True):
     w = np.asarray(Rng(seed, 1).gaussian((rows, cols)), dtype=np.float32)
-    mu = w.mean(axis=1) if row_center else None
-    target = w - mu[:, None] if row_center else w
+    mu = w.mean(axis=1) if centered else None
+    target = w - mu[:, None] if centered else w
     groups = [
         daq_fit(
             target[:, start : min(start + group_width, cols)],
-            cfg=DaqConfig(order=order, row_center=False, sweeps=3),
+            cfg=DaqConfig(order=order, sweeps=3),
         )
         for start in range(0, cols, group_width)
     ]
@@ -139,40 +139,31 @@ def test_unpack_rejects_nonzero_padding():
 
 
 def test_dequantize_constant_cases():
-    ones = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1, row_center=False))
+    ones = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1))
     layer = build_layer("x", [ones], 6, 6, None)
     assert np.allclose(dequantize(layer), 1.0, atol=1e-3)
     # all scales zero, constant row mean
-    zeros = daq_fit(np.zeros((4, 6), dtype=np.float32), cfg=DaqConfig(order=1, row_center=False))
+    zeros = daq_fit(np.zeros((4, 6), dtype=np.float32), cfg=DaqConfig(order=1))
     layer = build_layer("y", [zeros], 6, 6, np.full(4, 2.5))
     assert np.allclose(dequantize(layer), 2.5)
 
 
 def test_encode_dequantize_close_to_inmemory():
     w = np.asarray(Rng(5, 1).gaussian((48, 64)), dtype=np.float32)
-    group = daq_fit(w, cfg=DaqConfig(order=2))
-    layer = build_layer("z", [group], 64, 64, group.row_mean)
+    mu, x = center_rows(w)
+    mu = mu.astype(np.float32)
+    group = daq_fit(x, cfg=DaqConfig(order=2))
+    layer = build_layer("z", [group], 64, 64, mu)
     packed = dequantize(layer)
-    in_memory = group.reconstruct()
+    in_memory = group.reconstruct() + mu[:, None]
     scale = np.abs(in_memory).max()
     assert np.allclose(packed, in_memory, atol=1e-3 * scale)
-
-
-def test_build_layer_refuses_group_row_means_it_would_drop():
-    # groups fitted with their own row means (the DaqConfig default): the file
-    # stores one mean per layer, and packing without them misses the +3 offset
-    w = np.asarray(Rng(9, 1).gaussian((8, 16)), dtype=np.float32) + 3.0
-    groups = [daq_fit(w[:, start : start + 8], cfg=DaqConfig(order=2)) for start in (0, 8)]
-    with pytest.raises(ValueError, match="'w': group 0"):
-        build_layer("w", groups, 8, 16)
-    with pytest.raises(ValueError, match="'w': group 1"):
-        build_layer("w", groups, 8, 16, groups[0].row_mean)
 
 
 def test_qpk_roundtrip(tmp_path):
     layers = [
         _fit_layer("block0.up", 24, 40, seed=6),
-        _fit_layer("block0.down", 16, 24, seed=7, row_center=False, order=3),
+        _fit_layer("block0.down", 16, 24, seed=7, centered=False, order=3),
     ]
     path = tmp_path / "m.qpk"
     write_qpk(path, layers)
@@ -254,7 +245,7 @@ def test_memory_estimate_equals_file_size(tmp_path):
     layers = [
         _fit_layer("block0.up", 24, 40, seed=12),
         _fit_layer("block0.down", 16, 24, seed=13, order=1),
-        _fit_layer("тék.layer", 8, 8, seed=14, group_width=8, row_center=False),
+        _fit_layer("тék.layer", 8, 8, seed=14, group_width=8, centered=False),
     ]
     path = tmp_path / "m.qpk"
     write_qpk(path, layers)
@@ -285,12 +276,12 @@ def test_memory_estimate_ratio_invariant():
 
 
 def test_build_layer_rejects_values_beyond_float16():
-    group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1, row_center=False))
+    group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1))
     layer = build_layer("w", [group], 6, 6, np.full(4, 65519.0))  # rounds to the finite max
     assert (layer.row_mean == np.float16(65504)).all()
     with pytest.raises(QpkFormatError, match="'w': row means"):
         build_layer("w", [group], 6, 6, np.full(4, 65520.0))
-    huge = daq_fit(np.full((4, 6), 1e10, dtype=np.float32), cfg=DaqConfig(order=1, row_center=False))
+    huge = daq_fit(np.full((4, 6), 1e10, dtype=np.float32), cfg=DaqConfig(order=1))
     with pytest.raises(QpkFormatError, match="'w'.*float16"):
         build_layer("w", [huge], 6, 6)
 
@@ -298,7 +289,7 @@ def test_build_layer_rejects_values_beyond_float16():
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("where", ["row_mean", "alpha_c"])
 def test_read_rejects_non_finite_halves(tmp_path, where, value):
-    group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1, row_center=False))
+    group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1))
     path = tmp_path / "m.qpk"
     write_qpk(path, [build_layer("w", [group], 6, 6, np.zeros(4))])
     raw = bytearray(path.read_bytes())
@@ -315,7 +306,7 @@ def valid_qpk(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "valid.qpk"
     write_qpk(path, [
         _fit_layer("block0.up", 6, 10, seed=15, group_width=4, order=3),
-        _fit_layer("b", 3, 5, seed=16, row_center=False, order=1),
+        _fit_layer("b", 3, 5, seed=16, centered=False, order=1),
     ])
     return path
 
