@@ -17,7 +17,7 @@ File layout, all integers little-endian:
             alpha_c order x cols x float16
 
 Sign planes are packed row-major, LSB-first within each 64-bit word, bit 1
-meaning +1; trailing pad bits are zero and are verified on decode. Scales
+meaning +1; trailing pad bits are zero and are verified on read. Scales
 are stored half precision and widened before any arithmetic.
 
 The struct constants and :func:`_group_nbytes` below are the one
@@ -88,7 +88,7 @@ def pack_signs(signs: np.ndarray) -> np.ndarray:
 
 def unpack_signs(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`pack_signs`; rejects nonzero padding bits."""
-    words = np.asarray(words, dtype="<u8")
+    words = np.ascontiguousarray(words, dtype="<u8")
     expected = _plane_words(rows, cols)
     if words.size != expected:
         raise QpkFormatError(f"plane has {words.size} words, expected {expected}")
@@ -176,33 +176,48 @@ def build_layer(
     )
 
 
-def _terms(layer: QpkLayer):
-    """Yield (column slice, alpha_r, alpha_c, signs) for every binary term
-    of the layer in file order; scales stay float16 as stored."""
+def dequantize(layer: QpkLayer) -> np.ndarray:
+    """Full layer reconstruction in float32, including the stored row mean."""
+    out = np.zeros((layer.rows, layer.cols), dtype=np.float32)
     start = 0
     for g in layer.groups:
         cols = slice(start, start + g.cols)
         for k in range(g.order):
-            yield cols, g.alpha_r[k], g.alpha_c[k], unpack_signs(g.planes[k], g.rows, g.cols)
+            signs = unpack_signs(g.planes[k], g.rows, g.cols)
+            outer = np.outer(g.alpha_r[k].astype(np.float32), g.alpha_c[k].astype(np.float32))
+            out[:, cols] += outer * signs
         start += g.cols
-
-
-def dequantize(layer: QpkLayer) -> np.ndarray:
-    """Full layer reconstruction in float32, including the stored row mean."""
-    out = np.zeros((layer.rows, layer.cols), dtype=np.float32)
-    for cols, alpha_r, alpha_c, signs in _terms(layer):
-        out[:, cols] += np.outer(alpha_r.astype(np.float32), alpha_c.astype(np.float32)) * signs
     if layer.row_mean is not None:
         out += layer.row_mean.astype(np.float32)[:, None]
     return out
 
 
+# _BITS[p, b] is the sign that bit b (LSB first) of byte p stands for
+_BITS = np.where((np.arange(256)[:, None] >> np.arange(8)) & 1, 1.0, -1.0)
+
+
+def _row_bytes(g: PackedGroup) -> np.ndarray:
+    """The group's sign bits as (order, rows, ceil(cols/8)) bytes, each row
+    starting on a byte boundary and zero-padded at its end."""
+    nb = -(-g.cols // 8)
+    planes = np.ascontiguousarray(g.planes, dtype="<u8").view(np.uint8)
+    if g.cols % 8 == 0:
+        return planes[:, : g.rows * nb].reshape(g.order, g.rows, nb)
+    bits = np.unpackbits(planes, axis=1, count=g.rows * g.cols, bitorder="little")
+    return np.packbits(bits.reshape(g.order, g.rows, g.cols), axis=2, bitorder="little")
+
+
 def rc_matvec(layer: QpkLayer, x: np.ndarray) -> np.ndarray:
     """Multiply the packed layer by a vector without materializing it.
 
-    Per term, the column scales fold into the input once (v = alpha_c * x),
-    the decoded signs multiply v, and the row scales scale the result, all
-    in float64. Matches dense dequantize-then-multiply to float rounding.
+    Per group, the column scales fold into the input once (v = alpha_c * x,
+    zero-padded to whole bytes), and each run of 8 columns gets a table of
+    the 256 signed sums of its 8 entries. Every packed sign byte is then one
+    lookup into that table (the byte-table matvec of LUT-GEMM), and the row
+    scales weight the looked-up sums. Rows of a group whose width is not a
+    multiple of 8 are first repacked onto byte boundaries. All arithmetic
+    is float64; the result matches dense dequantize-then-multiply to float
+    rounding.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (layer.cols,):
@@ -210,8 +225,16 @@ def rc_matvec(layer: QpkLayer, x: np.ndarray) -> np.ndarray:
     y = np.zeros(layer.rows, dtype=np.float64)
     if layer.row_mean is not None:
         y += layer.row_mean.astype(np.float64) * x.sum()
-    for cols, alpha_r, alpha_c, signs in _terms(layer):
-        y += alpha_r.astype(np.float64) * (signs @ (alpha_c.astype(np.float64) * x[cols]))
+    start = 0
+    for g in layer.groups:
+        nb = -(-g.cols // 8)
+        v = np.zeros((g.order, 8 * nb))
+        v[:, : g.cols] = g.alpha_c.astype(np.float64) * x[start : start + g.cols]
+        table = v.reshape(g.order, nb, 8) @ _BITS.T  # (order, nb, 256)
+        offsets = 256 * np.arange(g.order * nb).reshape(g.order, 1, nb) + _row_bytes(g)
+        sums = table.ravel().take(offsets)  # (order, rows, nb)
+        y += np.einsum("kr,krj->r", g.alpha_r.astype(np.float64), sums)
+        start += g.cols
     return y
 
 
@@ -261,8 +284,9 @@ def _read_group(rd: _Reader, name: str, rows: int, cols: int, order: int) -> Pac
     scales = np.frombuffer(body, dtype="<f2", offset=planes.nbytes)
     if not np.isfinite(scales).all():
         raise QpkFormatError(f"{rd.label}: non-finite scale in layer {name!r}")
-    for k in range(order):
-        unpack_signs(planes[k], rows, cols)  # validates padding bits
+    pad = -(rows * cols) % 64  # the high bits of each plane's last word
+    if pad and (planes[:, -1] & np.uint64(((1 << pad) - 1) << (64 - pad))).any():
+        raise QpkFormatError(f"{rd.label}: nonzero padding bits in layer {name!r}")
     return PackedGroup(
         rows=rows,
         cols=cols,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskquant import qformat
-from maskquant.daq import DaqConfig, center_rows, daq_fit
+from maskquant.daq import DaqConfig, QuantizedGroup, RCBinaryOrder, center_rows, daq_fit
 from maskquant.errors import ShapeError
 from maskquant.qformat import (
     LayerShape,
@@ -198,6 +198,32 @@ def test_qpk_corruption_detected(tmp_path):
         read_qpk(path)
 
 
+# rows x cols signs fill bits 0 .. rows*cols-1 of each plane's only word;
+# the rest, up to bit 63, are padding
+@pytest.mark.parametrize("rows, cols, bit", [(3, 5, 15), (3, 5, 40), (3, 5, 63), (7, 9, 63)])
+def test_read_qpk_refuses_a_pad_bit_in_a_later_plane(tmp_path, rows, cols, bit):
+    layer = _fit_layer("a", rows, cols, seed=17, group_width=cols, order=3)
+    layer.groups[0].planes[1, -1] |= np.uint64(1 << bit)
+    path = tmp_path / "m.qpk"
+    write_qpk(path, [layer])
+    with pytest.raises(QpkFormatError, match="padding"):
+        read_qpk(path)
+
+
+def test_read_qpk_accepts_planes_without_padding(tmp_path):
+    # 8 x 8 signs fill whole words, so the top bit of the last word is a sign
+    group = QuantizedGroup(orders=[
+        RCBinaryOrder(alpha_r=np.ones(8, np.float32), alpha_c=np.ones(8, np.float32),
+                      signs=np.ones((8, 8), np.int8))
+        for _ in range(3)
+    ])
+    layer = build_layer("a", [group], 8, 8)
+    assert (layer.groups[0].planes == np.uint64(2**64 - 1)).all()
+    path = tmp_path / "m.qpk"
+    write_qpk(path, [layer])
+    assert np.array_equal(dequantize(read_qpk(path)[0]), np.full((8, 8), 3.0, np.float32))
+
+
 def test_rc_matvec_zero_vector():
     layer = _fit_layer("a", 12, 20, seed=9)
     assert np.array_equal(rc_matvec(layer, np.zeros(20)), np.zeros(12))
@@ -225,6 +251,81 @@ def test_rc_matvec_length_checked():
     layer = _fit_layer("a", 8, 12, seed=11)
     with pytest.raises(ShapeError):
         rc_matvec(layer, np.zeros(11))
+
+
+def _per_term_matvec(layer, x):
+    """Reference oracle: decode each term's signs and multiply them in float64."""
+    y = np.zeros(layer.rows)
+    if layer.row_mean is not None:
+        y += layer.row_mean.astype(np.float64) * x.sum()
+    start = 0
+    for g in layer.groups:
+        for k in range(g.order):
+            signs = unpack_signs(g.planes[k], g.rows, g.cols)
+            v = g.alpha_c[k].astype(np.float64) * x[start : start + g.cols]
+            y += g.alpha_r[k].astype(np.float64) * (signs @ v)
+        start += g.cols
+    return y
+
+
+def _abs_terms(layer, x):
+    """Per row, the sum of the magnitudes of everything the matvec adds up."""
+    total = np.zeros(layer.rows)
+    if layer.row_mean is not None:
+        total += np.abs(layer.row_mean.astype(np.float64)) * np.abs(x.sum())
+    start = 0
+    for g in layer.groups:
+        ac = np.abs(g.alpha_c.astype(np.float64)) @ np.abs(x[start : start + g.cols])
+        total += np.abs(g.alpha_r.astype(np.float64)).T @ ac
+        start += g.cols
+    return total
+
+
+@given(
+    rows=st.integers(min_value=1, max_value=40),
+    width=st.one_of(
+        st.integers(min_value=1, max_value=7),
+        st.sampled_from([8, 16]),
+        st.integers(min_value=9, max_value=20).filter(lambda w: w % 8),
+    ),
+    groups=st.integers(min_value=1, max_value=4),
+    ragged_tail=st.integers(min_value=0, max_value=19),
+    orders=st.lists(st.integers(min_value=1, max_value=3), min_size=4, max_size=4),
+    with_mean=st.booleans(),
+    fortran_planes=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_rc_matvec_byte_tables_property(
+    rows, width, groups, ragged_tail, orders, with_mean, fortran_planes, seed
+):
+    # whole groups of `width` columns, then possibly a narrower last group
+    cols = width * groups + ragged_tail % width
+    rng = np.random.default_rng(seed)
+    fits = []
+    for g, start in enumerate(range(0, cols, width)):
+        w = min(width, cols - start)
+        terms = [
+            RCBinaryOrder(
+                alpha_r=rng.uniform(0.01, 0.1, rows).astype(np.float32),
+                alpha_c=rng.uniform(0.5, 1.5, w).astype(np.float32),
+                signs=np.where(rng.random((rows, w)) < 0.5, -1, 1).astype(np.int8),
+            )
+            for _ in range(orders[g % len(orders)])
+        ]
+        fits.append(QuantizedGroup(orders=terms))
+    mean = rng.standard_normal(rows).astype(np.float32) if with_mean else None
+    layer = build_layer("w", fits, width, cols, mean)
+    if fortran_planes:
+        for g in layer.groups:
+            g.planes = np.asfortranarray(g.planes)
+    x = rng.standard_normal(cols)
+    fast = rc_matvec(layer, x)
+    # the float32 dense matrix rounds each entry, so its error scales with
+    # |W| @ |x|, as in the benchmark's check
+    dense = dequantize(layer).astype(np.float64)
+    assert (np.abs(fast - dense @ x) <= 1e-5 * (np.abs(dense) @ np.abs(x))).all()
+    assert (np.abs(fast - _per_term_matvec(layer, x)) <= 1e-12 * _abs_terms(layer, x)).all()
 
 
 def test_memory_estimate_component_arithmetic():
