@@ -12,7 +12,10 @@ Groups of one shape are fitted together as a (G, rows, cols) stack of at
 most _MAX_STACK_WEIGHTS weights. Each group keeps its own stop rule and
 rollback, and every reduction runs per group in the order a lone fit uses,
 so a stack returns the same bits as fitting its groups one at a time. The
-public functions are the G = 1 view of the stacked code.
+public functions are the G = 1 view of the stacked code. The stacks of one
+call are independent, so the calling thread and a pool of one worker per
+further core fit them side by side; the result does not depend on how
+many workers there are.
 
 All internal arithmetic is float64; returned scales are float32 and signs
 are int8, strictly +-1 with sign(0) defined as +1.
@@ -20,6 +23,8 @@ are int8, strictly +-1 with sign(0) defined as +1.
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +32,11 @@ import numpy as np
 from .errors import ShapeError
 
 _MAX_STACK_WEIGHTS = 1 << 16  # weights fitted as one stack: bounds the temporaries of a wide layer
+# threads that fit stacks beside the caller, one per further core the process
+# may use; they start with the first call that has a stack to hand them, and
+# live as long as the process, so each keeps one malloc arena, not one per call
+_WORKERS = len(os.sched_getaffinity(0)) - 1
+_pool: ThreadPoolExecutor | None = None
 
 
 @dataclass(frozen=True)
@@ -213,9 +223,9 @@ def update_alpha_c(x, signs, alpha_r, lam=None, epsilon: float = 1e-8) -> np.nda
 def _sign_candidates(order: int) -> np.ndarray:
     # Candidates ordered so that ties resolve to the most +1 entries, then
     # lexicographically with +1 before -1.
-    base = list(itertools.product((1.0, -1.0), repeat=order))
-    ranked = sorted(range(len(base)), key=lambda i: (base[i].count(-1.0), i))
-    return np.array([base[i] for i in ranked])
+    base = list(itertools.product((1, -1), repeat=order))
+    ranked = sorted(range(len(base)), key=lambda i: (base[i].count(-1), i))
+    return np.array([base[i] for i in ranked], dtype=np.int8)
 
 
 _CANDIDATES = {order: _sign_candidates(order) for order in (1, 2, 3)}  # (2^K, K) each
@@ -225,7 +235,7 @@ def _sign_search(target: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """Exhaustive per-entry search over the sign combinations of all terms.
 
     `planes` (K, G, rows, cols) holds each term's outer(alpha_r, alpha_c).
-    Returns (K, G, rows, cols) float64 signs whose scale-weighted sum is
+    Returns (K, G, rows, cols) int8 signs whose scale-weighted sum is
     closest to `target` (G, rows, cols). Candidates are tried in ranked order
     and only a strictly closer one replaces the best so far, so ties keep the
     first: the most +1 entries.
@@ -273,7 +283,7 @@ def update_signs(target, scale_pairs) -> list[np.ndarray]:
         )
         for k, (ar, ac) in enumerate(pairs)
     ])
-    return list(_sign_search(target[None], planes[:, None])[:, 0])
+    return [s.astype(np.float64) for s in _sign_search(target[None], planes[:, None])[:, 0]]
 
 
 def _fitted_group(ar, ac, signs, j: int, history: list[float]) -> QuantizedGroup:
@@ -300,7 +310,7 @@ def _fit_stack(
     order = cfg.order
     size, rows, cols = target.shape
     terms = np.empty((order, size, rows, cols))  # outer(alpha_r, alpha_c) * signs of each term
-    signs = np.empty_like(terms)
+    signs = np.empty(terms.shape, dtype=np.int8)  # an int8 sign scales a float64 exactly
     ar = np.empty((order, size, rows))
     ac = np.empty((order, size, cols))
     for k in range(order):
@@ -346,20 +356,43 @@ def _fit_stack(
     return fits
 
 
-def _fit_groups(blocks, lams, cfg: DaqConfig) -> list[QuantizedGroup]:
-    """daq_fit of each matrix of `blocks`, all of one shape, against the
-    matching weight mask of `lams` (None: unweighted), run as stacks of at
-    most _MAX_STACK_WEIGHTS weights (a larger group runs alone)."""
-    step = max(1, _MAX_STACK_WEIGHTS // max(1, np.size(blocks[0])))
-    fits = []
-    for start in range(0, len(blocks), step):
+def _fit_lane(blocks, lams, cfg: DaqConfig, starts, step: int) -> list[list[QuantizedGroup]]:
+    """The fits of one lane's stacks, `blocks[start : start + step]` for each
+    of `starts`, one list per stack."""
+    out = []
+    for start in starts:
         ws = [_validated(w) for w in blocks[start : start + step]]
         lam2 = None
         if lams is not None:
             chunk = lams[start : start + step]
             lam2 = np.stack([_squared_weights(lam, w.shape) for lam, w in zip(chunk, ws)])
-        fits += _fit_stack(np.stack(ws), lam2, cfg)
-    return fits
+        out.append(_fit_stack(np.stack(ws), lam2, cfg))
+    return out
+
+
+def _fit_groups(blocks, lams, cfg: DaqConfig) -> list[QuantizedGroup]:
+    """daq_fit of each matrix of `blocks`, all of one shape, against the
+    matching weight mask of `lams` (None: unweighted), run as stacks of at
+    most _MAX_STACK_WEIGHTS weights (a larger group runs alone). The stacks
+    are dealt round-robin to the caller and up to _WORKERS pool threads; the
+    fits come back in block order, and an error raised by any lane is raised
+    here once every lane has finished."""
+    global _pool
+    step = max(1, _MAX_STACK_WEIGHTS // max(1, np.size(blocks[0])))
+    starts = range(0, len(blocks), step)
+    lanes = min(len(starts), 1 + _WORKERS)
+    if lanes > 1 and _pool is None:
+        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="daq")
+    others = [
+        _pool.submit(_fit_lane, blocks, lams, cfg, starts[lane::lanes], step)
+        for lane in range(1, lanes)
+    ]
+    try:
+        done = [_fit_lane(blocks, lams, cfg, starts[::lanes], step)]
+    finally:
+        wait(others)
+    done += [future.result() for future in others]
+    return [fit for i in range(len(starts)) for fit in done[i % lanes][i // lanes]]
 
 
 def daq_fit(w, lam=None, cfg: DaqConfig | None = None) -> QuantizedGroup:

@@ -354,11 +354,12 @@ def cmd_calib(cfg: PipelineConfig) -> Path:
     return cfg.stats_dir
 
 
-def _load_stats(
-    cfg: PipelineConfig, model: ToyModel, names: list[str]
-) -> dict[str, stats.SecondMoment]:
-    """Per-layer statistics, refused unless `calib` accumulated them from this
-    config's model, calibration tokens and masking settings."""
+def _stats_reader(cfg: PipelineConfig, model: ToyModel, names: list[str]):
+    """A reader of each named layer's second moment from its statistics
+    file, returned once every file exists and the fingerprint shows that
+    `calib` accumulated them from this config's model, calibration tokens and
+    masking settings. A file is read only when its layer is quantized, so
+    quantize holds one gram at a time."""
     paths = {name: _stats_path(cfg, name) for name in names}
     for name, path in paths.items():
         if not path.exists():
@@ -374,7 +375,7 @@ def _load_stats(
             f"statistics in {cfg.stats_dir} were calibrated with another model, other "
             "calibration tokens or other masking settings; rerun calib with this config"
         )
-    return {name: stats.load_second_moment(path) for name, path in paths.items()}
+    return lambda name: stats.load_second_moment(paths[name])
 
 
 class _SingularMoment(ValueError):
@@ -417,14 +418,15 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, sha
         lam = mask.weights()
         outlier_fraction = mask.outlier_fraction
 
-    mu, target = daq.center_rows(weights)
-
     part = abmp.partition(rows, cols, cfg.group_width)
     if cfg.use_abmp:
         scores = stats.block_scores(importance, part.ranges)
         alloc = abmp.allocate(scores, cfg.ratio, locked=part.ragged_indices())
     else:
         alloc = abmp.BitAllocation(orders=(cfg.order,) * len(part.ranges), reallocated=0)
+    del importance  # the mask and the scores hold what the fit needs of it
+
+    mu, target = daq.center_rows(weights)
 
     # a group's fit depends on its columns of the target and of the weight
     # mask, and on its DaqConfig, not on the stack it runs in; the mask's
@@ -484,14 +486,16 @@ def _quantize(
     cfg: PipelineConfig,
     model: ToyModel,
     names: list[str],
-    moments: dict,
+    moment,
     shared: _Shared | None = None,
 ):
-    """Quantize the named layers against their second moments in `moments`,
-    reusing and adding to the results in `shared`, whose inverse diagonals
-    come from `moments`. Without `shared` nothing is reused, and each
-    layer's fits are freed once it is packed. Returns the packed records and
-    the report, whose `eval` is null. A moment that stays singular after
+    """Quantize the named layers, each against the second moment that
+    `moment(name)` returns (None for a config that uses none), reusing and
+    adding to the results in `shared`, whose inverse diagonals come from
+    those moments. Each moment is asked for when its layer is reached and
+    dropped after it. Without `shared` nothing is reused, and each layer's
+    fits are freed once it is packed. Returns the packed records and the
+    report, whose `eval` is null. A moment that stays singular after
     damping raises _SingularMoment."""
     records = []
     layer_rows = {}
@@ -499,7 +503,7 @@ def _quantize(
         try:
             layer_shared = _Shared() if shared is None else shared
             record, row = _quantize_layer(
-                name, model.layers[name], moments.get(name), cfg, layer_shared
+                name, model.layers[name], moment(name), cfg, layer_shared
             )
         except ShapeError as exc:
             raise ShapeError(f"layer {name!r}: {exc}") from exc
@@ -538,9 +542,9 @@ def cmd_quantize(cfg: PipelineConfig):
     """Quantize every targeted layer; writes the packed file and the report."""
     model = get_model(cfg)
     names = target_layers(cfg, model)
-    moments = _load_stats(cfg, model, names) if (cfg.use_dor or cfg.use_abmp) else {}
+    moment = _stats_reader(cfg, model, names) if (cfg.use_dor or cfg.use_abmp) else {}.get
     try:
-        records, report = _quantize(cfg, model, names, moments)
+        records, report = _quantize(cfg, model, names, moment)
     except _SingularMoment as exc:
         raise ContainerError(f"{_stats_path(cfg, exc.layer)}: {exc}") from exc
     _write_run(cfg, records, report)
@@ -758,7 +762,7 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
             shared.inv_diags.clear()  # they came from the previous moments
             moments = _calibrate(sub, model, names, tokens) if stats_key else {}
         try:
-            records, report = _quantize(sub, model, names, moments, shared)
+            records, report = _quantize(sub, model, names, moments.get, shared)
         except _SingularMoment as exc:
             raise ConfigError(f"arm {arm!r}: {exc}") from exc
         report["eval"] = _evaluate(sub, model, records, eval_set, reference)

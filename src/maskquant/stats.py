@@ -64,7 +64,7 @@ def load_second_moment(path: str | os.PathLike) -> SecondMoment:
     if (np.diag(gram) < 0).any():
         raise ContainerError(f"{path}: negative diagonal entry, impossible in a second moment")
     sm = SecondMoment(gram.shape[0])
-    sm.gram = gram.astype(np.float64)
+    sm.gram = gram.astype(np.float64, copy=False)
     count_path = str(path) + ".count"
     raw = Path(count_path).read_bytes().strip()
     if not raw.isdigit():  # ASCII digits only, so no sign, no point, no other script
@@ -86,9 +86,10 @@ def damped_inverse_diag(sm: SecondMoment, damp_rel: float = 0.01) -> np.ndarray:
     if damp_rel < 0:
         raise ValueError("damp_rel must be >= 0")
     damp = damp_rel * float(np.mean(np.diag(sm.gram)))
-    a = sm.gram + damp * np.eye(sm.dim)
+    a = sm.gram.copy()
+    a.flat[:: sm.dim + 1] += damp
     try:
-        inv = np.linalg.solve(a, np.eye(sm.dim))
+        inv = np.linalg.inv(a)  # LAPACK gesv against the identity, as solve(a, I) is
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"second moment singular even with damp={damp:g}") from exc
     d = np.diag(inv).copy()
@@ -164,14 +165,16 @@ def true_data_loss(weights, approx, sm: SecondMoment) -> float:
     """Quadratic-form output error of the approximation under the accumulated
     second moment; equals the squared Frobenius error of the output difference
     on exactly the activations that built `sm`."""
-    w = np.asarray(weights, dtype=np.float64)
-    a = np.asarray(approx, dtype=np.float64)
+    w = np.asarray(weights)
+    a = np.asarray(approx)
     if w.shape != a.shape:
         raise ShapeError(f"shape mismatch: {w.shape} vs {a.shape}")
     if w.shape[1] != sm.dim:
         raise ShapeError(f"weights have {w.shape[1]} columns, second moment is {sm.dim}")
-    diff = w - a
-    return float(((diff @ sm.gram) * diff).sum())
+    diff = np.subtract(w, a, dtype=np.float64)
+    out = diff @ sm.gram
+    out *= diff
+    return float(out.sum())
 
 
 def block_scores(importance: np.ndarray, ranges) -> np.ndarray:

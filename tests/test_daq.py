@@ -1,6 +1,7 @@
 """Quantizer oracles: init values, closed-form updates, sign search, fits."""
 
 import itertools
+import threading
 from unittest import mock
 
 import numpy as np
@@ -518,5 +519,85 @@ def test_stacked_fit_keeps_each_groups_stop():
     ]
     fits = daq._fit_groups(blocks, None, cfg)
     assert [len(fit.loss_history) - 1 for fit in fits] == [9, 8, 11, 1]
+    for fit, w in zip(fits, blocks):
+        _assert_same_as_oracle(fit, w, None, cfg)
+
+
+# --- stacks fitted side by side ------------------------------------------------
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Sets daq's worker count for one test, on a pool of its own; records
+    (thread name, stack starts) of every lane that runs."""
+    seen = []
+    fit_lane = daq._fit_lane
+
+    def spy(blocks, lams, cfg, starts, step):
+        seen.append((threading.current_thread().name, list(starts)))
+        return fit_lane(blocks, lams, cfg, starts, step)
+
+    def use(workers):
+        if daq._pool is not None:
+            daq._pool.shutdown()
+        monkeypatch.setattr(daq, "_WORKERS", workers)
+        monkeypatch.setattr(daq, "_pool", None)
+        seen.clear()
+        return seen
+
+    monkeypatch.setattr(daq, "_fit_lane", spy)
+    monkeypatch.setattr(daq, "_pool", None)
+    yield use
+    if daq._pool is not None:
+        daq._pool.shutdown()
+
+
+def _five_groups(seed=3):
+    """Five 6x8 groups and their weight masks."""
+    blocks = [_gauss((6, 8), seed=seed + g) for g in range(5)]
+    lams = [np.where(_gauss((6, 8), seed=seed + g, stream=1) > 1.0, 2.5, 1.0) for g in range(5)]
+    return blocks, lams
+
+
+def _fit_bytes(fits):
+    return [
+        (fit.loss_history, [(t.alpha_r.tobytes(), t.alpha_c.tobytes(), t.signs.tobytes())
+                            for t in fit.orders])
+        for fit in fits
+    ]
+
+
+def test_fit_groups_gives_the_same_fits_on_any_worker_count(lanes):
+    blocks, lams = _five_groups()
+    cfg = DaqConfig(order=3, sweeps=6, tol=0.0)
+    with mock.patch.object(daq, "_MAX_STACK_WEIGHTS", 2 * 6 * 8):  # stacks start at 0, 2 and 4
+        results = {}
+        for workers in (0, 1, 2):
+            seen = lanes(workers)
+            results[workers] = _fit_bytes(daq._fit_groups(blocks, lams, cfg))
+            # stacks are dealt round-robin, the caller taking the first lane
+            threads = [name for name, _ in seen]
+            assert threading.current_thread().name in threads
+            assert len([name for name in threads if name.startswith("daq")]) == workers
+            assert sorted(start for _, starts in seen for start in starts) == [0, 2, 4]
+    assert results[1] == results[0] and results[2] == results[0]
+    for fit, w, lam in zip(daq._fit_groups(blocks, lams, cfg), blocks, lams):
+        _assert_same_as_oracle(fit, w, lam, cfg)
+
+
+def test_fit_groups_raises_a_workers_error_and_keeps_its_pool(lanes):
+    blocks, _ = _five_groups()
+    bad = [w.copy() for w in blocks]
+    bad[1][2, 3] = np.nan  # group 1 is the second stack's: the worker's lane
+    cfg = DaqConfig(order=2, sweeps=3)
+    with mock.patch.object(daq, "_MAX_STACK_WEIGHTS", 6 * 8):  # a stack per group
+        for workers in (0, 1):
+            seen = lanes(workers)
+            with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+                daq._fit_groups(bad, None, cfg)
+        assert [starts for name, starts in seen if name.startswith("daq")] == [[1, 3]]
+        pool = daq._pool
+        fits = daq._fit_groups(blocks, None, cfg)
+        assert daq._pool is pool
     for fit, w in zip(fits, blocks):
         _assert_same_as_oracle(fit, w, None, cfg)

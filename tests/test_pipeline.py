@@ -872,6 +872,52 @@ def test_cli_bad_inputs_exit_with_one_line(tmp_path, capsys, make_args, code):
     assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_quantize_reads_each_layers_statistics_when_it_reaches_it(tmp_path, capsys, monkeypatch):
+    cfg_path = _cli_config(tmp_path)
+    assert main(["calib", "--config", str(cfg_path)]) == 0
+    assert main(["quantize", "--config", str(cfg_path)]) == 0
+    run = tmp_path / "cli"
+    before = {name: (run / name).read_bytes() for name in ("model.qpk", "report.json")}
+    last = run / "stats" / "block1.down.qdt"  # the last target layer's
+    last.write_bytes(last.read_bytes()[:-8])
+    fitted = []
+    fit_groups = daq._fit_groups
+    monkeypatch.setattr(daq, "_fit_groups", lambda *args: fitted.append(1) or fit_groups(*args))
+    capsys.readouterr()
+    assert main(["quantize", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "block1.down.qdt" in err and "Traceback" not in err
+    assert fitted  # the layers before it were quantized first
+    assert {name: (run / name).read_bytes() for name in before} == before
+
+
+def test_quantize_refuses_missing_statistics_before_any_fit(tmp_path, capsys, monkeypatch):
+    cfg_path = _cli_config(tmp_path)
+    assert main(["calib", "--config", str(cfg_path)]) == 0
+    (tmp_path / "cli" / "stats" / "block1.down.qdt").unlink()
+    fitted = []
+    monkeypatch.setattr(daq, "_fit_groups", lambda *args: fitted.append(1))
+    capsys.readouterr()
+    assert main(["quantize", "--config", str(cfg_path)]) == 3
+    assert "block1.down" in capsys.readouterr().err
+    assert not fitted
+
+
+def test_quantize_starts_no_fit_worker_on_the_readme_toy(tmp_path, monkeypatch):
+    # each (order, width) of the README toy.cfg is one stack: nothing to hand a worker
+    cfg = PipelineConfig(
+        d_model=128, d_hidden=384, seq_len=64, calib_sequences=32, group_width=8, ratio=0.05,
+        out_dir=str(tmp_path),
+    )
+    model = get_model(cfg)
+    names = target_layers(cfg, model)
+    moments = _calibrate(cfg, model, names, calibration_tokens(cfg, model.spec))
+    monkeypatch.setattr(daq, "_WORKERS", 1)
+    monkeypatch.setattr(daq, "_pool", None)
+    _quantize(cfg, model, names, moments.get)
+    assert daq._pool is None
+
+
 def test_cli_flag_overrides(tmp_path):
     cfg_path = _cli_config(tmp_path)
     out2 = tmp_path / "cli2"
@@ -911,14 +957,14 @@ def test_quantize_fits_same_kind_groups_in_capped_stacks(tmp_path, monkeypatch):
         return fit_stack(target, lam2, daq_cfg)
 
     monkeypatch.setattr(daq, "_fit_stack", spy)
-    records, report = _quantize(cfg, model, names, moments)
+    records, report = _quantize(cfg, model, names, moments.get)
     assert max(size for size, _, _ in stacks) > 1
     assert all(size * rows * cols <= daq._MAX_STACK_WEIGHTS for size, rows, cols in stacks)
     assert sum(size for size, _, _ in stacks) == sum(len(r.groups) for r in records)
     # one group at a time gives the same packed bytes and report
     monkeypatch.setattr(daq, "_MAX_STACK_WEIGHTS", 1)
     stacks.clear()
-    alone_records, alone_report = _quantize(cfg, model, names, moments)
+    alone_records, alone_report = _quantize(cfg, model, names, moments.get)
     assert {size for size, _, _ in stacks} == {1}
     write_qpk(tmp_path / "stacked.qpk", records)
     write_qpk(tmp_path / "alone.qpk", alone_records)

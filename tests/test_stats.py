@@ -129,6 +129,20 @@ def test_damped_inverse_matches_eigh_oracle():
     assert np.allclose(d, oracle, rtol=1e-10)
 
 
+@pytest.mark.parametrize("dim, tokens", [(2, 3), (7, 5), (64, 200), (300, 40)])
+def test_damped_inverse_is_the_solve_against_the_identity(dim, tokens):
+    # bit for bit the diagonal of solve(gram + damp * I, I), also for a
+    # rank-deficient gram with a feature that is always 0
+    x = np.asarray(Rng(dim, tokens).gaussian((dim, tokens)), dtype=np.float32)
+    x[dim // 2] = 0.0
+    sm = _moment(x)
+    gram = sm.gram.copy()
+    damp = 0.01 * float(np.mean(np.diag(gram)))
+    ref = np.diag(np.linalg.solve(gram + damp * np.eye(dim), np.eye(dim)))
+    assert damped_inverse_diag(sm, damp_rel=0.01).tobytes() == ref.tobytes()
+    assert sm.gram.tobytes() == gram.tobytes()
+
+
 def test_singular_without_damping_raises():
     sm = SecondMoment(2)
     sm.gram = np.diag([1.0, 0.0])
@@ -211,6 +225,18 @@ def test_true_data_loss_identity_and_trace_oracle():
     assert true_data_loss(w, w, sm) == 0.0
     direct = np.linalg.norm((w - what) @ x.astype(np.float64)) ** 2
     assert true_data_loss(w, what, sm) == pytest.approx(direct, rel=1e-10)
+
+
+def test_true_data_loss_on_float32_layers_matches_the_float64_formula():
+    rng = Rng(8, 2)
+    sm = _moment(np.asarray(rng.gaussian((16, 40)), dtype=np.float32))
+    w = np.asarray(rng.gaussian((5, 16)), dtype=np.float32)
+    what = np.asarray(rng.gaussian((5, 16)), dtype=np.float32)
+    diff = w.astype(np.float64) - what.astype(np.float64)
+    assert true_data_loss(w, what, sm) == float(((diff @ sm.gram) * diff).sum())
+    w64 = w.astype(np.float64)
+    true_data_loss(w64, what, sm)
+    assert np.array_equal(w64, w)  # the inputs are not written
 
 
 def test_true_data_loss_identity_moment_is_frobenius():
