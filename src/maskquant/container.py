@@ -47,21 +47,30 @@ class NonFiniteError(ContainerError):
     """Float tensor contains NaN or infinity."""
 
 
-def _write_atomic(path: str | os.PathLike, data: bytes) -> None:
-    """Write `data` to `path` through a temporary file in the same directory
-    and `os.replace`: `path` holds either its previous bytes or all of `data`,
-    and a write that fails leaves no temporary file behind."""
+def _write_atomic(path: str | os.PathLike, *chunks) -> None:
+    """Write the bytes-like `chunks`, one after another, to `path` through a
+    temporary file in the same directory and `os.replace`: `path` holds either
+    its previous bytes or all of the chunks, and a write that fails leaves no
+    temporary file behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
+def _bytes_view(arr: np.ndarray) -> np.ndarray:
+    """The C-contiguous `arr` as a flat uint8 view of its buffer."""
+    return arr.reshape(-1).view(np.uint8)
+
+
 def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
-    """Write `array` to `path`; accepts float32/float64/uint32 data."""
+    """Write `array` to `path`; accepts float32/float64/uint32 data. The
+    payload is written from the array's own buffer, not from a copy."""
     arr = np.ascontiguousarray(array)
     code = _CODE_FOR_KIND.get((arr.dtype.kind, arr.dtype.itemsize))
     if code is None:
@@ -72,37 +81,40 @@ def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
         raise NonFiniteError("refusing to write non-finite values")
     header = MAGIC + struct.pack("<BI", code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = arr.astype(_DTYPE_FOR_CODE[code], copy=False).tobytes(order="C")
-    _write_atomic(path, header + payload)
+    payload = arr.astype(_DTYPE_FOR_CODE[code], copy=False)  # keeps arr's C order
+    _write_atomic(path, header, _bytes_view(payload))
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
-    """Inverse of :func:`write_tensor`; validates header, size, and finiteness."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not a QDT1 file")
-    if len(raw) < 9:
-        raise PayloadSizeError(f"{path}: truncated header")
-    code, ndim = struct.unpack_from("<BI", raw, 4)
-    if code not in _DTYPE_FOR_CODE:
-        raise BadDtypeError(f"{path}: unknown dtype code {code}")
-    if ndim < 1 or ndim > _MAX_NDIM:
-        raise PayloadSizeError(f"{path}: implausible ndim {ndim}")
-    dims_end = 9 + 8 * ndim
-    if len(raw) < dims_end:
-        raise PayloadSizeError(f"{path}: truncated dims")
-    dims = struct.unpack_from(f"<{ndim}Q", raw, 9)
-    dtype = _DTYPE_FOR_CODE[code]
-    # exact products: in 64 bits they wrap; numpy also refuses a shape whose
-    # nonzero dims multiply past its index range, even when another dim is 0
-    if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
-        raise PayloadSizeError(f"{path}: implausible dims {dims}")
-    expected = math.prod(dims) * dtype.itemsize
-    if len(raw) - dims_end != expected:
-        raise PayloadSizeError(
-            f"{path}: payload is {len(raw) - dims_end} bytes, header implies {expected}"
-        )
-    arr = np.frombuffer(raw, dtype=dtype, offset=dims_end).reshape(dims).copy()
+    """Inverse of :func:`write_tensor`; validates header, size, and
+    finiteness. The payload is read straight into the returned array."""
+    with open(path, "rb") as f:
+        head = f.read(9)
+        if len(head) < 4 or head[:4] != MAGIC:
+            raise BadMagicError(f"{path}: not a QDT1 file")
+        if len(head) < 9:
+            raise PayloadSizeError(f"{path}: truncated header")
+        code, ndim = struct.unpack_from("<BI", head, 4)
+        if code not in _DTYPE_FOR_CODE:
+            raise BadDtypeError(f"{path}: unknown dtype code {code}")
+        if ndim < 1 or ndim > _MAX_NDIM:
+            raise PayloadSizeError(f"{path}: implausible ndim {ndim}")
+        raw_dims = f.read(8 * ndim)
+        if len(raw_dims) < 8 * ndim:
+            raise PayloadSizeError(f"{path}: truncated dims")
+        dims = struct.unpack(f"<{ndim}Q", raw_dims)
+        dtype = _DTYPE_FOR_CODE[code]
+        # exact products: in 64 bits they wrap; numpy also refuses a shape whose
+        # nonzero dims multiply past its index range, even when another dim is 0
+        if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+            raise PayloadSizeError(f"{path}: implausible dims {dims}")
+        expected = math.prod(dims) * dtype.itemsize
+        payload = os.fstat(f.fileno()).st_size - f.tell()
+        if payload != expected:
+            raise PayloadSizeError(f"{path}: payload is {payload} bytes, header implies {expected}")
+        arr = np.empty(dims, dtype=dtype)
+        if f.readinto(_bytes_view(arr)) != expected:
+            raise PayloadSizeError(f"{path}: file shrank while it was read")
     if dtype.kind == "f" and arr.size and not np.isfinite(arr).all():
         raise NonFiniteError(f"{path}: non-finite values in payload")
     return arr

@@ -40,6 +40,8 @@ _EVAL_SEED_SALT = 0x45564C31  # keeps held-out masking off the calibration strea
 _MAX_STAGE_TOKENS = 1 << 24  # tokens calib or eval may run: far beyond desk scale
 _MAX_MODEL_WEIGHTS = 1 << 26  # weights of a synthesized model: ~30x the benchmark's `wide`
 _MAX_GRAM_ENTRIES = 1 << 27  # float64 second-moment entries calib holds (1 GiB): ~50x `wide`
+# outlier weight: its square scales the fit's objective, and 1e200 overflowed float64
+_MAX_LAMBDA_WEIGHT = 1e6
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,8 @@ class PipelineConfig:
             raise ConfigError("ratio must be in [0, 0.5]")
         if self.group_width < 1:
             raise ConfigError("group_width must be positive")
-        if self.lambda_weight <= 1.0:
-            raise ConfigError("lambda_weight must be > 1")
+        if not 1.0 < self.lambda_weight <= _MAX_LAMBDA_WEIGHT:
+            raise ConfigError(f"lambda_weight must be in (1, {_MAX_LAMBDA_WEIGHT:g}]")
         if self.damp_rel < 0:
             raise ConfigError("damp_rel must be >= 0")
         if self.calib_sequences < 1 or self.eval_sequences < 1:
@@ -395,11 +397,32 @@ class _Shared:
     reused result is the one the arm would have computed."""
 
     inv_diags: dict = field(default_factory=dict)  # (layer, damp_rel) -> damped inverse diagonal
-    # (layer, column range, DaqConfig, weight-mask key or None) -> QuantizedGroup
+    # (layer, column range, DaqConfig, weight-mask key or None) -> _Fit
     fits: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class _Fit:
+    """What a quantize keeps of one group's fit: the packed group, its float32
+    reconstruction block (without the row mean; see qformat._group_block) and
+    the first and last entries of its loss history."""
+
+    packed: qformat.PackedGroup
+    block: np.ndarray
+    loss_init: float
+    loss_final: float
+
+
+def _keep(fit: daq.QuantizedGroup, name: str) -> _Fit:
+    packed = qformat.pack_group(fit, name)
+    return _Fit(packed, qformat._group_block(packed), fit.loss_history[0], fit.loss_history[-1])
+
+
 def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, shared: _Shared):
+    """Quantize one layer, reusing and adding to the fits in `shared`.
+    Returns its packed record, its report row, its float32 reconstruction
+    (bit for bit qformat.dequantize of the record) and its fit keys, which
+    name everything that reconstruction depends on besides the model."""
     rows, cols = weights.shape
     importance = None
     lam = None
@@ -445,15 +468,16 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, sha
         columns = [slice(*part.ranges[i]) for i in members]
         lams = None if lam is None else [lam[:, cols] for cols in columns]
         fits = daq._fit_groups([target[:, cols] for cols in columns], lams, cfg.daq_config(kind[0]))
-        shared.fits.update(zip([keys[i] for i in members], fits))
+        shared.fits.update((keys[i], _keep(fit, name)) for i, fit in zip(members, fits))
     groups = [shared.fits[key] for key in keys]
     loss_init = 0.0
     loss_final = 0.0
     for fit in groups:
-        loss_init += fit.loss_history[0]
-        loss_final += fit.loss_history[-1]
+        loss_init += fit.loss_init
+        loss_final += fit.loss_final
 
-    record = qformat.build_layer(name, groups, cfg.group_width, cols, mu)
+    record = qformat._layer_record(name, [fit.packed for fit in groups], cfg.group_width, cols, mu)
+    matrix = qformat._assemble([fit.block for fit in groups], record.row_mean)
 
     full_orders = [
         order
@@ -473,13 +497,9 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, sha
         "proxy_loss_init": loss_init,
         "proxy_loss_final": loss_final,
         "outlier_fraction": outlier_fraction,
-        "true_data_loss": (
-            stats.true_data_loss(weights, qformat.dequantize(record), sm)
-            if sm is not None
-            else None
-        ),
+        "true_data_loss": stats.true_data_loss(weights, matrix, sm) if sm is not None else None,
     }
-    return record, row
+    return record, row, matrix, tuple(keys)
 
 
 def _quantize(
@@ -488,27 +508,32 @@ def _quantize(
     names: list[str],
     moment,
     shared: _Shared | None = None,
+    matrices: dict | None = None,
 ):
     """Quantize the named layers, each against the second moment that
     `moment(name)` returns (None for a config that uses none), reusing and
     adding to the results in `shared`, whose inverse diagonals come from
     those moments. Each moment is asked for when its layer is reached and
     dropped after it. Without `shared` nothing is reused, and each layer's
-    fits are freed once it is packed. Returns the packed records and the
-    report, whose `eval` is null. A moment that stays singular after
+    fits are freed once it is packed. `matrices`, when given, receives each
+    layer's fit keys and float32 reconstruction under its name; otherwise
+    the reconstruction is dropped with the layer. Returns the packed records
+    and the report, whose `eval` is null. A moment that stays singular after
     damping raises _SingularMoment."""
     records = []
     layer_rows = {}
     for name in names:
         try:
             layer_shared = _Shared() if shared is None else shared
-            record, row = _quantize_layer(
+            record, row, matrix, keys = _quantize_layer(
                 name, model.layers[name], moment(name), cfg, layer_shared
             )
         except ShapeError as exc:
             raise ShapeError(f"layer {name!r}: {exc}") from exc
         records.append(record)
         layer_rows[name] = row
+        if matrices is not None:
+            matrices[name] = (keys, matrix)
 
     qpk_bytes = qformat.memory_estimate(qformat.describe_qpk(records))
     fp16_params = _fp16_params(model, names)
@@ -624,15 +649,15 @@ def _read_report(path) -> dict:
 
 
 def _evaluate(
-    cfg: PipelineConfig, model: ToyModel, layers: list, eval_set=None, reference=None
+    cfg: PipelineConfig, model: ToyModel, overrides: dict, eval_set=None, reference=None
 ) -> dict:
-    """The report's `eval` row: the model with the packed `layers` against
-    full precision on the held-out masked set. The set uses its own seed,
-    derived from the run seed, so it never overlaps the calibration draws.
-    A grid passes the set and its full-precision logits, computed once for
-    all arms; by default they are computed here, block by block."""
+    """The report's `eval` row: the model with the float32 layer matrices in
+    `overrides`, keyed by layer name, against full precision on the held-out
+    masked set. The set uses its own seed, derived from the run seed, so it
+    never overlaps the calibration draws. A grid passes the set and its
+    full-precision logits, computed once for all arms; by default they are
+    computed here, block by block."""
     # forward refuses a layer the model lacks or whose shape differs (ShapeError)
-    overrides = {layer.name: qformat.dequantize(layer) for layer in layers}
     if eval_set is None:
         eval_set = _eval_set(cfg, model.spec)
     metrics = eval_divergence(model, overrides, eval_set, reference)
@@ -651,7 +676,8 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
             f"{cfg.report_path} belongs to a model quantized from other weights than "
             "this config's; rerun quantize with this config"
         )
-    report["eval"] = _evaluate(cfg, model, qformat.read_qpk(cfg.qpk_path))
+    overrides = {layer.name: qformat.dequantize(layer) for layer in qformat.read_qpk(cfg.qpk_path)}
+    report["eval"] = _evaluate(cfg, model, overrides)
     _write_report(cfg.report_path, report)
     return report
 
@@ -726,7 +752,9 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     uniform arm (no saliency weighting, no mixed precision), and a
     reallocation-ratio sweep. Arms with one statistics fingerprint share one
     calibration, kept in memory, and its inverse diagonals; all arms share
-    the DAQ fits, the eval set and its full-precision logits (see _Shared).
+    the DAQ fits, each packed and reconstructed once, the eval set and its
+    full-precision logits (see _Shared). Arms whose layers have the same fit
+    keys have the same layers, and share one eval row.
     Also records whether the full pipeline beat the plain uniform arm on
     held-out divergence; small-model runs are not guaranteed to preserve
     that ordering, so a violation is flagged rather than fatal.
@@ -748,6 +776,7 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     eval_set = _eval_set(cfg, model.spec)
     reference = list(_reference_logits(model, eval_set))
     shared = _Shared()
+    scored = {}  # the fit keys of an arm's layers -> its eval row
     plan = []  # (statistics fingerprint, "" for an arm that uses none; arm; its config)
     for arm, override in arms.items():
         sub = dataclasses.replace(cfg, out_dir=str(Path(cfg.out_dir) / "arms" / arm), **override)
@@ -761,11 +790,17 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
             current, moments = stats_key, None
             shared.inv_diags.clear()  # they came from the previous moments
             moments = _calibrate(sub, model, names, tokens) if stats_key else {}
+        matrices = {}
         try:
-            records, report = _quantize(sub, model, names, moments.get, shared)
+            records, report = _quantize(sub, model, names, moments.get, shared, matrices)
         except _SingularMoment as exc:
             raise ConfigError(f"arm {arm!r}: {exc}") from exc
-        report["eval"] = _evaluate(sub, model, records, eval_set, reference)
+        eval_key = tuple(keys for keys, _ in matrices.values())
+        if eval_key not in scored:
+            overrides = {name: matrix for name, (_, matrix) in matrices.items()}
+            scored[eval_key] = _evaluate(sub, model, overrides, eval_set, reference)
+            del overrides  # so the next arm quantizes with only its own matrices alive
+        report["eval"] = scored[eval_key]
         _write_run(sub, records, report)
         results[arm] = {
             "divergence": report["eval"],

@@ -153,13 +153,24 @@ def build_layer(
     cols: int,
     row_mean: np.ndarray | None = None,
 ) -> QpkLayer:
-    """Assemble per-group fits into one encodable layer record."""
+    """Pack per-group fits and assemble them into one encodable layer record."""
+    return _layer_record(name, [pack_group(g, name) for g in groups], group_width, cols, row_mean)
+
+
+def _layer_record(
+    name: str,
+    groups: Sequence[PackedGroup],
+    group_width: int,
+    cols: int,
+    row_mean: np.ndarray | None,
+) -> QpkLayer:
+    """Assemble packed groups, in column order, into one encodable layer record."""
     if not groups:
         raise ShapeError("layer needs at least one group")
-    rows = groups[0].shape[0]
-    if any(g.shape[0] != rows for g in groups):
+    rows = groups[0].rows
+    if any(g.rows != rows for g in groups):
         raise ShapeError("groups disagree on row count")
-    if sum(g.shape[1] for g in groups) != cols:
+    if sum(g.cols for g in groups) != cols:
         raise ShapeError("group widths do not sum to the layer's columns")
     mean16 = None
     if row_mean is not None:
@@ -172,24 +183,33 @@ def build_layer(
         cols=cols,
         group_width=group_width,
         row_mean=mean16,
-        groups=[pack_group(g, name) for g in groups],
+        groups=list(groups),
     )
+
+
+def _group_block(g: PackedGroup) -> np.ndarray:
+    """The group's float32 reconstruction, without the layer's row mean: its
+    terms summed in order onto zeros, so no entry is -0.0."""
+    block = np.zeros((g.rows, g.cols), dtype=np.float32)
+    for k in range(g.order):
+        signs = unpack_signs(g.planes[k], g.rows, g.cols)
+        block += np.outer(g.alpha_r[k].astype(np.float32), g.alpha_c[k].astype(np.float32)) * signs
+    return block
+
+
+def _assemble(blocks: Sequence[np.ndarray], row_mean: np.ndarray | None) -> np.ndarray:
+    """A layer's float32 reconstruction from its groups' blocks, in column
+    order, plus its stored float16 row mean. A new array: the blocks are not
+    changed."""
+    out = np.concatenate(blocks, axis=1)
+    if row_mean is not None:
+        out += row_mean.astype(np.float32)[:, None]
+    return out
 
 
 def dequantize(layer: QpkLayer) -> np.ndarray:
     """Full layer reconstruction in float32, including the stored row mean."""
-    out = np.zeros((layer.rows, layer.cols), dtype=np.float32)
-    start = 0
-    for g in layer.groups:
-        cols = slice(start, start + g.cols)
-        for k in range(g.order):
-            signs = unpack_signs(g.planes[k], g.rows, g.cols)
-            outer = np.outer(g.alpha_r[k].astype(np.float32), g.alpha_c[k].astype(np.float32))
-            out[:, cols] += outer * signs
-        start += g.cols
-    if layer.row_mean is not None:
-        out += layer.row_mean.astype(np.float32)[:, None]
-    return out
+    return _assemble([_group_block(g) for g in layer.groups], layer.row_mean)
 
 
 # _BITS[p, b] is the sign that bit b (LSB first) of byte p stands for
@@ -257,7 +277,7 @@ def write_qpk(path: str | os.PathLike, layers: Sequence[QpkLayer]) -> None:
             buf += g.planes.astype("<u8").tobytes()
             buf += g.alpha_r.astype("<f2").tobytes()
             buf += g.alpha_c.astype("<f2").tobytes()
-    _write_atomic(path, bytes(buf))
+    _write_atomic(path, buf)
 
 
 class _Reader:

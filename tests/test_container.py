@@ -1,6 +1,7 @@
 """Tensor container round trips and failure modes."""
 
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,28 @@ from maskquant.pipeline import _write_report
 from maskquant.qformat import build_layer, write_qpk
 from maskquant.rng import Rng
 from maskquant.stats import SecondMoment, save_second_moment
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call of `fn`."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_and_write_hold_one_copy_of_the_payload(tmp_path):
+    # an 8 MB float64 tensor, the size of a `wide` gram: neither direction
+    # copies the payload, so the peak is the array plus small temporaries
+    arr = Rng(3, 1).gaussian((1024, 1024))
+    path = tmp_path / "g.qdt"
+    peak, _ = _traced_peak(write_tensor, path, arr)
+    assert peak < 1.25 * arr.nbytes
+    peak, back = _traced_peak(read_tensor, path)
+    assert peak < 1.25 * arr.nbytes
+    assert back.tobytes() == arr.tobytes()
 
 
 def test_exact_byte_layout(tmp_path):
@@ -198,15 +221,30 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name):
     write = _WRITERS[name]
     write(tmp_path, 1)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    real_write_bytes = Path.write_bytes
+    real_open = Path.open
 
-    def fail_half_way(self, data):
-        if name not in self.name:
-            return real_write_bytes(self, data)
-        real_write_bytes(self, data[: len(data) // 2])
-        raise OSError(28, "No space left on device")
+    class HalfWriter:
+        """Writes half of the first chunk it is given, then fails as a full disk does."""
 
-    monkeypatch.setattr(Path, "write_bytes", fail_half_way)
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            data = memoryview(data).cast("B")
+            self.f.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    def open_failing(self, mode="r", *args, **kwargs):
+        f = real_open(self, mode, *args, **kwargs)
+        return HalfWriter(f) if name in self.name and "w" in mode else f
+
+    monkeypatch.setattr(Path, "open", open_failing)
     with pytest.raises(OSError):
         write(tmp_path, 2)
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskquant import daq
+from maskquant import daq, qformat
 from maskquant.cli import main
 from maskquant.container import ContainerError, read_tensor, write_tensor
 from maskquant.daq import DaqConfig, daq_fit
@@ -21,6 +21,7 @@ from maskquant.errors import ConfigError, ShapeError
 from maskquant.mcs import simulate
 from maskquant.pipeline import (
     PipelineConfig,
+    _Shared,
     _calibrate,
     _eval_set,
     _quantize,
@@ -116,8 +117,14 @@ _HUGE_OK = {
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 
 
+# values at the edges of a field's bounds, drawn besides its type's words
+_EDGES = {"lambda_weight": ["1.0000001", "1e6", "1000000.0000001", "1e7", "1e200"]}
+
+
 def _config_value(name: str):
     words = _WORDS.get(_FIELDS[name].type, _WORDS["str"])
+    if name in _EDGES:
+        words = st.one_of(words, st.sampled_from(_EDGES[name]))
     if name in _HUGE_OK:
         words = st.one_of(words, _HUGE_INT)
     return st.one_of(words.map(str.encode), _JUNK)
@@ -137,7 +144,26 @@ def test_config_fuzz_exits_typed(data):
             load_config(path)
         except ConfigError:
             pass
-        assert main(["calib", "--config", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3, 4)
+        out = ["--config", str(path), "--out", str(Path(tmp) / "o")]
+        code = main(["calib", *out])
+        assert code in (0, 2, 3, 4)
+        # a config that calib accepts quantizes without a warning (they are errors here)
+        if code == 0:
+            assert main(["quantize", *out]) in (0, 2, 3, 4)
+
+
+@given(lam=st.one_of(st.sampled_from(_EDGES["lambda_weight"]), st.floats(1.0, 1e300).map(repr)))
+@settings(max_examples=15, deadline=None)
+def test_lambda_weight_beyond_bound_is_refused_before_any_work(lam):
+    # 1e200 used to quantize with overflow warnings, then fail with exit 3 on
+    # the float16 row scales; a weight the fit can carry quantizes cleanly
+    base = b"d_model=16\nd_hidden=32\nseq_len=32\ncalib_sequences=4\ngroup_width=8\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lambda.cfg"
+        path.write_bytes(base + f"lambda_weight={lam}\n".encode())
+        out = ["--config", str(path), "--out", str(Path(tmp) / "o")]
+        codes = [main([command, *out]) for command in ("calib", "quantize")]
+    assert codes == ([0, 0] if 1.0 < float(lam) <= 1e6 else [2, 2])
 
 
 def test_calib_writes_stats_per_layer(tmp_path):
@@ -292,6 +318,9 @@ def test_grid_does_each_shared_piece_of_work_once(tmp_path, monkeypatch):
     from maskquant import stats
 
     fitted = []  # (target bytes, squared-mask bytes, DaqConfig) of every fitted group
+    packed = []  # layer name of every packed group
+    blocks = []  # width of every group block built
+    dequantized = []  # name of every dequantized record
     inverted = []  # gram bytes of every damped_inverse_diag call
     eval_sets = []
     eval_tokens = []
@@ -311,6 +340,9 @@ def test_grid_does_each_shared_piece_of_work_once(tmp_path, monkeypatch):
             fitted.append((target[j].tobytes(), mask, daq_cfg))
 
     spy(daq, "_fit_stack", stack)
+    spy(qformat, "pack_group", lambda group, name: packed.append(name))
+    spy(qformat, "_group_block", lambda g: blocks.append(g.cols))
+    spy(qformat, "dequantize", lambda layer: dequantized.append(layer.name))
     spy(stats, "damped_inverse_diag", lambda sm, *args: inverted.append(sm.gram.tobytes()))
     spy(maskquant.pipeline, "_eval_set", lambda cfg, spec: eval_sets.append(cfg.seed))
     spy(maskquant.denoiser, "forward", lambda model, ids, *args: eval_tokens.append(ids.size))
@@ -318,11 +350,33 @@ def test_grid_does_each_shared_piece_of_work_once(tmp_path, monkeypatch):
     ablation_grid(cfg)
     model = get_model(cfg)
     assert len(fitted) == len(set(fitted))
+    # each distinct fit is packed and reconstructed once; no record is dequantized
+    assert len(packed) == len(blocks) == len(fitted)
+    assert dequantized == []
     # masked moments for most arms, visible ones for no_mcs
     assert len(inverted) == len(set(inverted)) == 2 * len(model.quantizable_names())
     assert len(eval_sets) == 1
-    # one reference pass, then one pass per arm with its quantized layers
-    assert sum(eval_tokens) == (1 + 8) * _eval_set(cfg, model.spec).size
+    # one reference pass, then one pass per distinct set of arm layers; on
+    # this small model several arms allocate the same orders, so share layers
+    qpks = [path.read_bytes() for path in Path(cfg.out_dir).glob("arms/*/model.qpk")]
+    assert len(set(qpks)) < len(qpks) == 8
+    assert sum(eval_tokens) == (1 + len(set(qpks))) * _eval_set(cfg, model.spec).size
+
+
+def test_quantize_hands_back_each_layer_as_dequantize_reads_it(tmp_path):
+    # ragged last groups (20 = 8 + 8 + 4 and 36 = 4 * 8 + 4 columns) and,
+    # at ratio 0.5, orders 1 to 3; the pipeline always stores row means
+    cfg = _cfg(tmp_path, d_model=20, d_hidden=36, ratio=0.5)
+    model = get_model(cfg)
+    names = target_layers(cfg, model)
+    moments = _calibrate(cfg, model, names, calibration_tokens(cfg, model.spec))
+    matrices = {}
+    records, _ = _quantize(cfg, model, names, moments.get, _Shared(), matrices)
+    assert {g.order for record in records for g in record.groups} == {1, 2, 3}
+    assert {g.cols for record in records for g in record.groups} == {8, 4}
+    for record in records:
+        assert record.row_mean is not None
+        assert matrices[record.name][1].tobytes() == qformat.dequantize(record).tobytes()
 
 
 def test_calib_deterministic_bytes(tmp_path):
@@ -862,6 +916,7 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
             "damp_rel=nan",
             "damp_rel=inf",
             "lambda_weight=inf",
+            "lambda_weight=1e200",
             "calib_sequences=100000000000",
         )
     ],

@@ -376,6 +376,51 @@ def test_memory_estimate_ratio_invariant():
     assert memory_estimate([uniform]) == memory_estimate([mixed])
 
 
+def _dequantize_oracle(layer):
+    """dequantize as first written: each term added in place onto a zero layer."""
+    out = np.zeros((layer.rows, layer.cols), dtype=np.float32)
+    start = 0
+    for g in layer.groups:
+        cols = slice(start, start + g.cols)
+        for k in range(g.order):
+            signs = unpack_signs(g.planes[k], g.rows, g.cols)
+            alpha_r, alpha_c = g.alpha_r[k].astype(np.float32), g.alpha_c[k].astype(np.float32)
+            out[:, cols] += np.outer(alpha_r, alpha_c) * signs
+        start += g.cols
+    if layer.row_mean is not None:
+        out += layer.row_mean.astype(np.float32)[:, None]
+    return out
+
+
+@pytest.mark.parametrize("with_mean", [False, True])
+def test_layer_from_group_blocks_is_dequantize_bit_for_bit(with_mean):
+    rng = np.random.default_rng(5)
+    rows = 12
+    fits = []
+    for order, width in zip((1, 3, 2, 3), (8, 8, 8, 5)):  # mixed orders, a ragged last group
+        terms = [
+            RCBinaryOrder(
+                alpha_r=rng.uniform(0.01, 0.1, rows).astype(np.float32),
+                alpha_c=rng.uniform(0.5, 1.5, width).astype(np.float32),
+                signs=np.where(rng.random((rows, width)) < 0.5, -1, 1).astype(np.int8),
+            )
+            for _ in range(order)
+        ]
+        fits.append(QuantizedGroup(orders=terms))
+    # a zero row scale times -1 signs is -0.0; both paths must store +0.0 there
+    fits[0].orders[0].alpha_r[0] = 0.0
+    fits[0].orders[0].signs[0] = -1
+    mean = rng.standard_normal(rows).astype(np.float32) if with_mean else None
+    record = build_layer("w", fits, 8, 29, mean)
+    blocks = [qformat._group_block(qformat.pack_group(fit, "w")) for fit in fits]
+    kept = [block.copy() for block in blocks]
+    assembled = qformat._assemble(blocks, record.row_mean)
+    assert assembled.dtype == np.float32 and assembled.shape == (rows, 29)
+    assert assembled.tobytes() == dequantize(record).tobytes()
+    assert assembled.tobytes() == _dequantize_oracle(record).tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, kept))  # blocks are not changed
+
+
 def test_build_layer_rejects_values_beyond_float16():
     group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1))
     layer = build_layer("w", [group], 6, 6, np.full(4, 65519.0))  # rounds to the finite max
