@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +43,9 @@ _MAX_MODEL_WEIGHTS = 1 << 26  # weights of a synthesized model: ~30x the benchma
 _MAX_GRAM_ENTRIES = 1 << 27  # float64 second-moment entries calib holds (1 GiB): ~50x `wide`
 # outlier weight: its square scales the fit's objective, and 1e200 overflowed float64
 _MAX_LAMBDA_WEIGHT = 1e6
+# relative ridge: it scales the importance, and 1e300 overflowed it to inf
+_MAX_DAMP_REL = 1e6
+_MAX_GROUP_WIDTH = (1 << 64) - 1  # QPK1 stores the group width as a u64
 
 
 @dataclass(frozen=True)
@@ -93,12 +97,12 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from exc
         if not 0.0 <= self.ratio <= 0.5:
             raise ConfigError("ratio must be in [0, 0.5]")
-        if self.group_width < 1:
-            raise ConfigError("group_width must be positive")
+        if not 1 <= self.group_width <= _MAX_GROUP_WIDTH:
+            raise ConfigError(f"group_width must be in [1, {_MAX_GROUP_WIDTH}]")
         if not 1.0 < self.lambda_weight <= _MAX_LAMBDA_WEIGHT:
             raise ConfigError(f"lambda_weight must be in (1, {_MAX_LAMBDA_WEIGHT:g}]")
-        if self.damp_rel < 0:
-            raise ConfigError("damp_rel must be >= 0")
+        if not 0.0 <= self.damp_rel <= _MAX_DAMP_REL:
+            raise ConfigError(f"damp_rel must be in [0, {_MAX_DAMP_REL:g}]")
         if self.calib_sequences < 1 or self.eval_sequences < 1:
             raise ConfigError("sequence counts must be positive")
         _check_stage_tokens(self, self.calib_sequences, self.seq_len, masked=self.use_mcs)
@@ -293,11 +297,19 @@ def _eval_set(cfg: PipelineConfig, spec: ToyModelSpec) -> np.ndarray:
 # --- pipeline stages ----------------------------------------------------------
 
 
+# the statistics manifest: the input fingerprint, then "<sha256>  <file>" per layer file
 _FINGERPRINT = "fingerprint.sha256"
+_DIGEST_LINE = re.compile(rb"([0-9a-f]{64})  ([!-~]+)")  # printable ASCII names
 
 
 def _stats_path(cfg: PipelineConfig, name: str) -> Path:
     return cfg.stats_dir / f"{name}.qdt"
+
+
+def _file_sha256(path: Path) -> str:
+    """Hex sha256 of the file's bytes, streamed through hashlib's 256 KiB buffer."""
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def _weights_sha256(model: ToyModel, tokens: np.ndarray | None = None):
@@ -342,42 +354,66 @@ def _calibrate(cfg: PipelineConfig, model: ToyModel, names: list[str], tokens: n
 
 def cmd_calib(cfg: PipelineConfig) -> Path:
     """Accumulate one second-moment file per targeted layer, plus the
-    fingerprint of what they were accumulated from."""
+    manifest: the fingerprint of what they were accumulated from, then the
+    sha256 of each file."""
     model = get_model(cfg)
     names = target_layers(cfg, model)
     tokens = calibration_tokens(cfg, model.spec)
     moments = _calibrate(cfg, model, names, tokens)
     cfg.stats_dir.mkdir(parents=True, exist_ok=True)
-    fingerprint = cfg.stats_dir / _FINGERPRINT
-    fingerprint.unlink(missing_ok=True)  # a half-rewritten directory matches nothing
+    manifest = cfg.stats_dir / _FINGERPRINT
+    manifest.unlink(missing_ok=True)  # a half-rewritten directory matches nothing
+    lines = [_calib_fingerprint(cfg, model, tokens)]
     for name, sm in moments.items():
-        stats.save_second_moment(sm, _stats_path(cfg, name))
-    _write_atomic(fingerprint, (_calib_fingerprint(cfg, model, tokens) + "\n").encode())
+        path = _stats_path(cfg, name)
+        stats.save_second_moment(sm, path)
+        lines.append(f"{_file_sha256(path)}  {path.name}")
+    _write_atomic(manifest, "".join(line + "\n" for line in lines).encode())
     return cfg.stats_dir
 
 
 def _stats_reader(cfg: PipelineConfig, model: ToyModel, names: list[str]):
     """A reader of each named layer's second moment from its statistics
-    file, returned once every file exists and the fingerprint shows that
-    `calib` accumulated them from this config's model, calibration tokens and
-    masking settings. A file is read only when its layer is quantized, so
-    quantize holds one gram at a time."""
+    file, returned once every file exists and the manifest shows that `calib`
+    accumulated them from this config's model, calibration tokens and masking
+    settings and records each file's sha256. A file is read only when its
+    layer is quantized, so quantize holds one gram at a time; it is parsed,
+    then its bytes are checked against the recorded sha256."""
     paths = {name: _stats_path(cfg, name) for name in names}
     for name, path in paths.items():
         if not path.exists():
             raise FileNotFoundError(
                 f"statistics for layer {name!r} not found at {path}; run calib first"
             )
-    fingerprint = cfg.stats_dir / _FINGERPRINT
-    if not fingerprint.exists():
-        raise ConfigError(f"{fingerprint} is missing; rerun calib with this config")
+    manifest = cfg.stats_dir / _FINGERPRINT
+    if not manifest.exists():
+        raise ConfigError(f"{manifest} is missing; rerun calib with this config")
+    lines = manifest.read_bytes().split(b"\n")
     expected = _calib_fingerprint(cfg, model, calibration_tokens(cfg, model.spec))
-    if fingerprint.read_bytes().strip() != expected.encode():
+    if lines[0] != expected.encode():
         raise ConfigError(
             f"statistics in {cfg.stats_dir} were calibrated with another model, other "
             "calibration tokens or other masking settings; rerun calib with this config"
         )
-    return lambda name: stats.load_second_moment(paths[name])
+    matches = [_DIGEST_LINE.fullmatch(line) for line in lines[1:-1]]
+    digests = {m[2].decode(): m[1].decode() for m in matches if m}
+    if lines[-1] or len(digests) < len(matches):  # no final newline, a bad or repeated line
+        raise ConfigError(f"{manifest} does not parse; rerun calib with this config")
+    for path in paths.values():
+        if path.name not in digests:
+            raise ConfigError(
+                f"{manifest} records no sha256 of {path.name} (statistics from before "
+                "digests were recorded have none); rerun calib with this config"
+            )
+
+    def read(name: str) -> stats.SecondMoment:
+        path = paths[name]
+        sm = stats.load_second_moment(path)
+        if _file_sha256(path) != digests[path.name]:
+            raise ContainerError(f"{path}: sha256 differs from the one recorded in {manifest}")
+        return sm
+
+    return read
 
 
 class _SingularMoment(ValueError):

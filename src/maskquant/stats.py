@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import ContainerError, _write_atomic, read_tensor, write_tensor
+from .container import ContainerError, read_tensor, write_tensor
 from .errors import ShapeError
 
 
@@ -27,13 +27,16 @@ class SecondMoment:
     Calibration folds 512-token blocks of sequences, so its grams differ in
     the last bits from a fold of one sequence at a time (at most 3.4e-15
     relative to the largest entry on the README toy and benchmark configs).
+
+    `count` tallies the token columns accumulated in this process; a moment
+    loaded from a file has `count` None, because the file does not record it.
     """
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.gram = np.zeros((dim, dim), dtype=np.float64)
-        self.count = 0
+        self.count: int | None = 0
 
     @property
     def dim(self) -> int:
@@ -52,9 +55,8 @@ class SecondMoment:
 
 
 def save_second_moment(sm: SecondMoment, path: str | os.PathLike) -> None:
-    """QDT1 float64 tensor plus a sidecar `<path>.count` file."""
+    """The gram as a QDT1 float64 tensor."""
     write_tensor(Path(path), sm.gram)
-    _write_atomic(str(path) + ".count", f"{sm.count}\n".encode())
 
 
 def load_second_moment(path: str | os.PathLike) -> SecondMoment:
@@ -65,24 +67,16 @@ def load_second_moment(path: str | os.PathLike) -> SecondMoment:
         raise ContainerError(f"{path}: negative diagonal entry, impossible in a second moment")
     sm = SecondMoment(gram.shape[0])
     sm.gram = gram.astype(np.float64, copy=False)
-    count_path = str(path) + ".count"
-    raw = Path(count_path).read_bytes().strip()
-    if not raw.isdigit():  # ASCII digits only, so no sign, no point, no other script
-        text = raw.decode(errors="replace")
-        raise ContainerError(f"{count_path}: token count {text!r} is not a non-negative integer")
-    sm.count = int(raw)
-    if sm.count == 0:
-        raise ContainerError(f"{count_path}: token count is 0, so the second moment is empty")
+    sm.count = None
     return sm
 
 
 def damped_inverse_diag(sm: SecondMoment, damp_rel: float = 0.01) -> np.ndarray:
     """Diagonal of (gram + damp*I)^-1 with damp = damp_rel * mean(diag).
 
-    damp_rel=0 is accepted but raises if the undamped matrix is singular.
+    damp_rel=0 is accepted but raises if the undamped matrix is singular, as
+    does an empty moment: its zero diagonal makes damp 0.
     """
-    if sm.count <= 0:
-        raise ValueError("second moment is empty")
     if damp_rel < 0:
         raise ValueError("damp_rel must be >= 0")
     damp = damp_rel * float(np.mean(np.diag(sm.gram)))

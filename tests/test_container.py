@@ -209,7 +209,6 @@ def _packed_layer(value):
 _WRITERS = {
     "t.qdt": lambda d, v: write_tensor(d / "t.qdt", np.full(3, float(v))),
     "s.qdt": lambda d, v: save_second_moment(_second_moment(v), d / "s.qdt"),
-    "s.qdt.count": lambda d, v: save_second_moment(_second_moment(v), d / "s.qdt"),
     "m.qpk": lambda d, v: write_qpk(d / "m.qpk", _packed_layer(v)),
     "report.json": lambda d, v: _write_report(d / "report.json", {"version": v}),
     "manifest.txt": lambda d, v: save_model(init_model(ToyModelSpec(seed=v)), d),

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior, configuration, and CLI surface."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 import struct
@@ -54,6 +55,12 @@ def _cfg(tmp_path, **kwargs):
     )
     defaults.update(kwargs)
     return PipelineConfig(**defaults)
+
+
+def _calibrated(cfg):
+    """The in-memory second moments of cfg's target layers, as calib computes them."""
+    model = get_model(cfg)
+    return _calibrate(cfg, model, target_layers(cfg, model), calibration_tokens(cfg, model.spec))
 
 
 def test_config_file_parsing(tmp_path):
@@ -118,7 +125,10 @@ _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 
 
 # values at the edges of a field's bounds, drawn besides its type's words
-_EDGES = {"lambda_weight": ["1.0000001", "1e6", "1000000.0000001", "1e7", "1e200"]}
+_EDGES = {
+    "lambda_weight": ["1.0000001", "1e6", "1000000.0000001", "1e7", "1e200"],
+    "damp_rel": ["1e6", "1e7", "1e100", "1e300"],
+}
 
 
 def _config_value(name: str):
@@ -169,12 +179,22 @@ def test_lambda_weight_beyond_bound_is_refused_before_any_work(lam):
 def test_calib_writes_stats_per_layer(tmp_path):
     cfg = _cfg(tmp_path)
     stats_dir = cmd_calib(cfg)
-    names = {p.name for p in stats_dir.glob("*.qdt")}
-    assert names == {"block0.up.qdt", "block0.down.qdt", "block1.up.qdt", "block1.down.qdt"}
-    sm = load_second_moment(stats_dir / "block0.up.qdt")
-    assert sm.dim == cfg.d_model
+    names = {p.name for p in stats_dir.iterdir()}
+    layers = ["block0.up", "block0.down", "block1.up", "block1.down"]
+    assert names == {f"{name}.qdt" for name in layers} | {"fingerprint.sha256"}
+    moments = _calibrated(cfg)
+    for name in layers:
+        sm = load_second_moment(stats_dir / f"{name}.qdt")
+        assert sm.gram.tobytes() == moments[name].gram.tobytes()
+    assert moments["block0.up"].dim == cfg.d_model
     # one masked copy per sequence per timestep, every token column counted
-    assert sm.count == cfg.calib_sequences * cfg.timesteps * cfg.seq_len
+    assert moments["block0.up"].count == cfg.calib_sequences * cfg.timesteps * cfg.seq_len
+    # the manifest: the input fingerprint, then each layer file's sha256 in target order
+    lines = (stats_dir / "fingerprint.sha256").read_text().splitlines()
+    assert len(lines[0]) == 64
+    for line, name in zip(lines[1:], layers, strict=True):
+        digest = hashlib.sha256((stats_dir / f"{name}.qdt").read_bytes()).hexdigest()
+        assert line == f"{digest}  {name}.qdt"
 
 
 def test_calib_with_output_projection_included(tmp_path):
@@ -188,8 +208,7 @@ def test_calib_with_output_projection_included(tmp_path):
 
 def test_calib_without_mcs_uses_visible_sequences(tmp_path):
     cfg = _cfg(tmp_path, use_mcs=False)
-    stats_dir = cmd_calib(cfg)
-    sm = load_second_moment(stats_dir / "block0.up.qdt")
+    sm = _calibrated(cfg)["block0.up"]
     assert sm.count == cfg.calib_sequences * cfg.seq_len  # no timestep fan-out
 
 
@@ -213,9 +232,11 @@ def test_calib_grams_match_per_sequence_accumulation(tmp_path, use_mcs, seq_len)
         _, inputs = forward(model, ids[None])
         for name, sm in reference.items():
             sm.accumulate(inputs[name])
+    moments = _calibrated(cfg)
     for name, sm in reference.items():
         got = load_second_moment(cfg.stats_dir / f"{name}.qdt")
-        assert got.count == sm.count
+        assert moments[name].count == sm.count
+        assert moments[name].gram.tobytes() == got.gram.tobytes()
         assert np.abs(got.gram - sm.gram).max() <= 1e-12 * np.abs(sm.gram).max(), name
 
 
@@ -238,15 +259,16 @@ def test_forward_lookup_names_see_every_token(tmp_path, monkeypatch):
 
         return wrapped
 
+    cfg = _cfg(tmp_path)
+    moments = _calibrated(cfg)
     monkeypatch.setattr(maskquant.pipeline, "forward", counting("calib", maskquant.pipeline.forward))
     monkeypatch.setattr(maskquant.denoiser, "forward", counting("eval", maskquant.denoiser.forward))
-    cfg = _cfg(tmp_path)
     cmd_calib(cfg)
     cmd_quantize(cfg)
     cmd_eval(cfg)
     model = get_model(cfg)
     for name in model.quantizable_names():
-        assert load_second_moment(cfg.stats_dir / f"{name}.qdt").count == tokens["calib"]
+        assert moments[name].count == tokens["calib"]
     assert tokens["eval"] == 2 * _eval_set(cfg, model.spec).size
     # 512-token blocks of 16 rows: 96 masked calibration rows, 32 eval rows
     assert calls == {"calib": 6, "eval": 2 * 2}
@@ -708,13 +730,6 @@ def _qpk_with_infinite_scale(tmp_path):
     return ["estimate-mem", "--qpk", str(path)]
 
 
-def _stats_count_not_a_number(tmp_path):
-    cfg_path = _cli_config(tmp_path)
-    assert main(["calib", "--config", str(cfg_path)]) == 0
-    (tmp_path / "cli" / "stats" / "block0.up.qdt.count").write_text("abc\n")
-    return ["quantize", "--config", str(cfg_path)]
-
-
 def _calibrated_then(edit, *flags):
     """Default CLI calib, then `edit(stats_dir)`; returns quantize args with `flags`."""
 
@@ -727,8 +742,21 @@ def _calibrated_then(edit, *flags):
     return make_args
 
 
-def _stats_count_zero(stats_dir):
-    (stats_dir / "block0.up.qdt.count").write_text("0\n")
+def _edit_manifest(edit):
+    """A stats edit that rewrites the manifest's lines with `edit(lines)`."""
+
+    def apply(stats_dir):
+        path = stats_dir / "fingerprint.sha256"
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+
+    return apply
+
+
+def _stats_from_before_digests(stats_dir):
+    # the fingerprint line alone, and a token-count sidecar per layer file
+    _edit_manifest(lambda lines: lines[:1])(stats_dir)
+    for path in stats_dir.glob("*.qdt"):
+        Path(f"{path}.count").write_text("384\n")
 
 
 def _stats_gram_zero(stats_dir):
@@ -797,6 +825,15 @@ def _config_with(lines, command="calib"):
     return make_args
 
 
+def _quantize_after_calib(lines):
+    def make_args(tmp_path):
+        args = _config_with(lines)(tmp_path)
+        assert main(args) == 0
+        return ["quantize", *args[1:]]
+
+    return make_args
+
+
 def _eval_without_report(tmp_path):
     cfg_path = _cli_config(tmp_path)
     assert main(["calib", "--config", str(cfg_path)]) == 0
@@ -850,8 +887,24 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
         (_qpk_with_non_utf8_name, 3),
         (_weights_beyond_float16, 3),
         (_qpk_with_infinite_scale, 3),
-        (_stats_count_not_a_number, 3),
-        pytest.param(_calibrated_then(_stats_count_zero), 3, id="stats_count_zero"),
+        pytest.param(_calibrated_then(_stats_from_before_digests), 2, id="stats_without_digests"),
+        pytest.param(
+            _calibrated_then(
+                _edit_manifest(lambda lines: [l for l in lines if "block1.down" not in l])
+            ),
+            2,
+            id="manifest_lacks_layer",
+        ),
+        pytest.param(
+            _calibrated_then(_edit_manifest(lambda lines: [*lines, "not a digest line"])),
+            2,
+            id="manifest_not_parsing",
+        ),
+        pytest.param(
+            _calibrated_then(_edit_manifest(lambda lines: [*lines, lines[1]])),
+            2,
+            id="manifest_names_a_file_twice",
+        ),
         pytest.param(_calibrated_then(_stats_gram_zero), 3, id="stats_gram_zero"),
         pytest.param(_calibrated_then(_stats_gram_negative_identity), 3, id="stats_gram_negative"),
         pytest.param(_calibrated_then(_stats_gram_without_rows), 4, id="stats_gram_without_rows"),
@@ -877,6 +930,10 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
         pytest.param(
             _config_with("vocab=8\ndamp_rel=0", "ablate"), 2, id="ablate_singular_moments"
         ),
+        # statistics calib wrote, so the sha256 check passes and the inverse refuses them
+        pytest.param(
+            _quantize_after_calib("vocab=8\ndamp_rel=0"), 3, id="quantize_singular_moments"
+        ),
         pytest.param(_config_with("layers=block0.up,block0.up"), 2, id="layer_named_twice"),
         (_calib_rows_beyond_token_bound, 2),
         (_model_seq_len_beyond_calib_bound, 2),
@@ -886,6 +943,10 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
         pytest.param(_config_with("d_model=100000000"), 2, id="d_model_beyond_weight_bound"),
         pytest.param(_config_with("d_hidden=100000000"), 2, id="d_hidden_beyond_weight_bound"),
         pytest.param(_config_with("n_blocks=10" + "0" * 29), 2, id="n_blocks_beyond_weight_bound"),
+        # QPK1 stores the group width as a u64; 2^64 failed in write_qpk after the whole fit
+        pytest.param(
+            _config_with(f"group_width={1 << 64}", "quantize"), 2, id="group_width_beyond_u64"
+        ),
         pytest.param(
             _config_with("d_model=4194304\nvocab=2\nd_hidden=1\nn_blocks=1"),
             2,
@@ -915,6 +976,7 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
             "epsilon=1e308",
             "damp_rel=nan",
             "damp_rel=inf",
+            "damp_rel=1e7",
             "lambda_weight=inf",
             "lambda_weight=1e200",
             "calib_sequences=100000000000",
@@ -958,6 +1020,46 @@ def test_quantize_refuses_missing_statistics_before_any_fit(tmp_path, capsys, mo
     assert not fitted
 
 
+def test_quantize_refuses_statistics_changed_after_calib(tmp_path, capsys):
+    # the lowest mantissa bit of entry (1, 5) of block0.up's 16x16 gram: still
+    # a valid second moment, which quantize used to fit against
+    cfg_path = _cli_config(tmp_path)
+    for command in ("calib", "quantize", "eval"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    run = tmp_path / "cli"
+    before = {name: (run / name).read_bytes() for name in ("model.qpk", "report.json")}
+    path = run / "stats" / "block0.up.qdt"
+    gram = load_second_moment(path).gram
+    raw = bytearray(path.read_bytes())
+    raw[9 + 2 * 8 + (1 * 16 + 5) * 8] ^= 1  # QDT1 header, then little-endian float64s
+    path.write_bytes(bytes(raw))
+    assert np.count_nonzero(load_second_moment(path).gram != gram) == 1
+    capsys.readouterr()
+    assert main(["quantize", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "stats/block0.up.qdt" in err and "sha256" in err and "Traceback" not in err
+    assert {name: (run / name).read_bytes() for name in before} == before
+
+
+def test_group_width_at_the_u64_bound_quantizes(tmp_path):
+    width = (1 << 64) - 1  # one ragged group per layer
+    flags = ["--config", str(_cli_config(tmp_path)), "--group-width", str(width)]
+    assert [main([command, *flags]) for command in ("calib", "quantize")] == [0, 0]
+    assert {layer.group_width for layer in read_qpk(tmp_path / "cli" / "model.qpk")} == {width}
+
+
+@pytest.mark.parametrize("damp", _EDGES["damp_rel"])
+def test_damp_rel_beyond_bound_is_refused_before_any_work(tmp_path, damp):
+    # 1e300 overflowed the importance, and quantize and ablate failed with a
+    # traceback from abmp.allocate; 1e6 runs every stage without a warning
+    cfg_path = _cli_config(tmp_path)
+    with cfg_path.open("a") as f:
+        f.write(f"damp_rel={damp}\n")
+    commands = ("calib", "quantize", "ablate")
+    codes = [main([command, "--config", str(cfg_path)]) for command in commands]
+    assert codes == ([0, 0, 0] if float(damp) <= 1e6 else [2, 2, 2])
+
+
 def test_quantize_starts_no_fit_worker_on_the_readme_toy(tmp_path, monkeypatch):
     # each (order, width) of the README toy.cfg is one stack: nothing to hand a worker
     cfg = PipelineConfig(
@@ -978,7 +1080,9 @@ def test_cli_flag_overrides(tmp_path):
     out2 = tmp_path / "cli2"
     assert main(["calib", "--config", str(cfg_path), "--out", str(out2), "--no-mcs"]) == 0
     sm = load_second_moment(out2 / "stats" / "block0.up.qdt")
-    assert sm.count == 12 * 32  # no timestep fan-out when --no-mcs
+    visible = _calibrated(load_config(cfg_path, {"use_mcs": False}))["block0.up"]
+    assert sm.gram.tobytes() == visible.gram.tobytes()
+    assert visible.count == 12 * 32  # no timestep fan-out when --no-mcs
     flags = ["--out", str(out2), "--no-mcs", "--no-rsr"]
     assert main(["quantize", "--config", str(cfg_path), *flags]) == 0
     config = json.loads((out2 / "report.json").read_text())["config"]
@@ -1050,3 +1154,84 @@ def test_calib_refuses_saved_model_beyond_gram_bound(tmp_path, monkeypatch, caps
     assert main(["calib", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "2560 second-moment entries" in capsys.readouterr().err
     assert allocated == []
+
+
+# --- the whole run directory through the CLI -----------------------------------
+
+
+def _run_args(run: Path) -> list[str]:
+    """Flags for the 16/32 CLI config on the model saved in `run/model`, with
+    `run` as the output directory; the config file sits next to `run`."""
+    cfg_path = run.parent / "run.cfg"
+    cfg_path.write_text(
+        "d_model=16\nd_hidden=32\nseq_len=32\ncalib_sequences=12\neval_sequences=4\n"
+        f"group_width=8\nmodel_dir={run / 'model'}\n"
+    )
+    return ["--config", str(cfg_path), "--out", str(run)]
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A run directory after calib, quantize and eval: the saved model, the
+    statistics and their manifest, model.qpk and report.json."""
+    run = tmp_path_factory.mktemp("fuzz") / "run"
+    save_model(init_model(ToyModelSpec(d_model=16, d_hidden=32, seq_len=32)), run / "model")
+    for command in ("calib", "quantize", "eval"):
+        assert main([command, *_run_args(run)]) == 0
+    return run
+
+
+def _files(run: Path) -> dict:
+    return {str(p.relative_to(run)): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+
+
+_RUN_COMMANDS = {
+    "quantize": lambda run: ["quantize", *_run_args(run)],
+    "eval": lambda run: ["eval", *_run_args(run)],
+    "report": lambda run: ["report", "--report", str(run / "report.json")],
+    "estimate-mem": lambda run: ["estimate-mem", "--qpk", str(run / "model.qpk")],
+}
+# the commands that read a run file, by the start of its path
+_READERS = {
+    "model/": ["eval", "quantize"],
+    "stats/": ["quantize"],
+    "model.qpk": ["estimate-mem", "eval"],
+    "report.json": ["eval", "report"],
+}
+
+
+def _mutate(raw: bytes, data) -> bytes:
+    """`raw` with one bit flipped, truncated, with bytes appended or one byte set."""
+    kind = data.draw(st.sampled_from(["flip", "truncate", "append", "set"]), label="mutation")
+    if kind == "append":
+        return raw + data.draw(st.binary(min_size=1, max_size=16), label="appended")
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    if kind == "flip":
+        value = raw[at] ^ (1 << data.draw(st.integers(0, 7), label="bit"))
+    else:
+        value = data.draw(st.integers(0, 255), label="value")
+    return raw[:at] + bytes([value]) + raw[at + 1 :]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_run_directory_fuzz_exits_typed(small_run, data):
+    # a copy of the run with one file mutated, then a command that reads it, in process
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(small_run, run)
+        files = _files(run)
+        name = data.draw(st.sampled_from(sorted(files)), label="file")
+        mutated = _mutate(files[name], data)
+        (run / name).write_bytes(mutated)
+        files[name] = mutated
+        readers = next(cmds for start, cmds in _READERS.items() if name.startswith(start))
+        command = data.draw(st.sampled_from(readers), label="command")
+        code = main(_RUN_COMMANDS[command](run))
+        assert code in (0, 2, 3, 4)
+        if code != 0:  # a failed command leaves every file as it was, and no other file
+            assert _files(run) == files
+        if name.startswith("stats/") and mutated != (small_run / name).read_bytes():
+            assert code != 0  # quantize uses only statistics bytes that calib wrote
