@@ -461,6 +461,7 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, sha
     name everything that reconstruction depends on besides the model."""
     rows, cols = weights.shape
     importance = None
+    mask = None
     lam = None
     outlier_fraction = None
     if cfg.use_dor or cfg.use_abmp:
@@ -502,9 +503,13 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, sha
     for kind in dict.fromkeys(kinds[i] for i in missing):
         members = [i for i in missing if kinds[i] == kind]
         columns = [slice(*part.ranges[i]) for i in members]
-        lams = None if lam is None else [lam[:, cols] for cols in columns]
-        fits = daq._fit_groups([target[:, cols] for cols in columns], lams, cfg.daq_config(kind[0]))
+        fits = daq._fit_groups(
+            [target[:, c] for c in columns],
+            None if lam is None else [lam[:, c] for c in columns],
+            cfg.daq_config(kind[0]),
+        )
         shared.fits.update((keys[i], _keep(fit, name)) for i, fit in zip(members, fits))
+    del target, lam, mask  # no view of them outlives the fits, so they are freed here
     groups = [shared.fits[key] for key in keys]
     loss_init = 0.0
     loss_final = 0.0

@@ -75,7 +75,9 @@ def damped_inverse_diag(sm: SecondMoment, damp_rel: float = 0.01) -> np.ndarray:
     """Diagonal of (gram + damp*I)^-1 with damp = damp_rel * mean(diag).
 
     damp_rel=0 is accepted but raises if the undamped matrix is singular, as
-    does an empty moment: its zero diagonal makes damp 0.
+    does an empty moment: its zero diagonal makes damp 0. A gram that is not
+    positive definite after damping raises the same error, since the diagonal
+    comes from its Cholesky factor.
     """
     if damp_rel < 0:
         raise ValueError("damp_rel must be >= 0")
@@ -83,13 +85,44 @@ def damped_inverse_diag(sm: SecondMoment, damp_rel: float = 0.01) -> np.ndarray:
     a = sm.gram.copy()
     a.flat[:: sm.dim + 1] += damp
     try:
-        inv = np.linalg.inv(a)  # LAPACK gesv against the identity, as solve(a, I) is
+        d = _cholesky_inverse_diag(a)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"second moment singular even with damp={damp:g}") from exc
-    d = np.diag(inv).copy()
     if not np.isfinite(d).all() or (d <= 0).any():
         raise ValueError(f"second moment singular even with damp={damp:g}")
     return d
+
+
+_BLOCK = 64  # fastest of 32, 64, 96, 128 and 256 at widths 384 to 1024 on 2 cores
+
+
+def _cholesky_inverse_diag(a: np.ndarray) -> np.ndarray:
+    """Diagonal of a^-1 for a symmetric positive definite `a`, overwritten.
+
+    a = L L^T, so diag(a^-1) holds the column sums of squares of L^-1. A
+    left-looking blocked Cholesky writes L into the lower triangle, keeping
+    each diagonal block's inverse in place of the block (later columns never
+    read it); L^-1 then replaces L one block column at a time from the right.
+    The O(n^3) work is matmuls on panels of at most n x _BLOCK; LAPACK sees
+    only the diagonal blocks. Raises LinAlgError if `a` is not positive
+    definite.
+    """
+    n = a.shape[0]
+    starts = range(0, n, _BLOCK)
+    for j in starts:
+        e = min(j + _BLOCK, n)
+        if j:
+            a[j:, j:e] -= a[j:, :j] @ a[j:e, :j].T
+        inv_jj = np.tril(np.linalg.inv(np.linalg.cholesky(a[j:e, j:e])))
+        a[j:e, j:e] = inv_jj
+        a[e:, j:e] = a[e:, j:e] @ inv_jj.T
+        a[j:e, e:] = 0.0  # the trailing inverse below multiplies by whole rows
+    for j in reversed(starts):
+        e = min(j + _BLOCK, n)
+        # L^-1 below block j: -(L[e:, e:])^-1 L[e:, j:e] L[j:e, j:e]^-1
+        a[e:, j:e] = a[e:, e:] @ a[e:, j:e] @ -a[j:e, j:e]
+    np.square(a, out=a)
+    return a.sum(axis=0)
 
 
 def importance_matrix(weights: np.ndarray, inv_diag: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Second-moment accumulation, saliency mask, and loss oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,29 +110,67 @@ def test_damped_inverse_diagonal_case():
     assert np.allclose(d, [0.25, 1.0])
 
 
+def _eigh_inverse_diag(gram, damp_rel):
+    ridge = damp_rel * np.mean(np.diag(gram))
+    eigvals, eigvecs = np.linalg.eigh(gram + ridge * np.eye(gram.shape[0]))
+    return ((eigvecs**2) / eigvals[None, :]).sum(axis=1)
+
+
 def test_damped_inverse_matches_eigh_oracle():
     rng = Rng(4, 0)
     a = np.asarray(rng.gaussian((6, 30)))
     sm = _moment(a.astype(np.float32))
     d = damped_inverse_diag(sm, damp_rel=0.01)
-    ridge = 0.01 * np.mean(np.diag(sm.gram))
-    eigvals, eigvecs = np.linalg.eigh(sm.gram + ridge * np.eye(6))
-    oracle = ((eigvecs**2) / eigvals[None, :]).sum(axis=1)
-    assert np.allclose(d, oracle, rtol=1e-10)
+    assert np.allclose(d, _eigh_inverse_diag(sm.gram, 0.01), rtol=1e-10)
 
 
-@pytest.mark.parametrize("dim, tokens", [(2, 3), (7, 5), (64, 200), (300, 40)])
-def test_damped_inverse_is_the_solve_against_the_identity(dim, tokens):
-    # bit for bit the diagonal of solve(gram + damp * I, I), also for a
-    # rank-deficient gram with a feature that is always 0
+@pytest.mark.parametrize(
+    "dim, tokens", [(1, 3), (7, 5), (63, 20), (64, 200), (65, 40), (130, 64), (300, 40), (1024, 64)]
+)
+def test_damped_inverse_matches_eigh_on_rank_deficient_grams(dim, tokens):
+    # widths around the Cholesky block size, each gram of rank at most
+    # min(dim, tokens) with a feature that is always 0 (when there is more
+    # than one), so the damping alone keeps it invertible
     x = np.asarray(Rng(dim, tokens).gaussian((dim, tokens)), dtype=np.float32)
-    x[dim // 2] = 0.0
+    if dim > 1:
+        x[dim // 2] = 0.0
     sm = _moment(x)
     gram = sm.gram.copy()
-    damp = 0.01 * float(np.mean(np.diag(gram)))
-    ref = np.diag(np.linalg.solve(gram + damp * np.eye(dim), np.eye(dim)))
-    assert damped_inverse_diag(sm, damp_rel=0.01).tobytes() == ref.tobytes()
+    d = damped_inverse_diag(sm, damp_rel=0.01)
+    assert np.allclose(d, _eigh_inverse_diag(gram, 0.01), rtol=1e-10, atol=0)
     assert sm.gram.tobytes() == gram.tobytes()
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3 and -1
+        # eigenvalue -0.5 along the all-0.25 vector, yet a positive diagonal
+        # and a positive inverse diagonal: only the factorization refuses it
+        np.eye(16) - 1.5 * np.full((16, 16), 1 / 16),
+    ],
+    ids=["2x2", "positive_inverse_diagonal"],
+)
+def test_damped_inverse_refuses_an_indefinite_gram(gram):
+    # symmetric but not a second moment: it has no Cholesky factor
+    sm = SecondMoment(gram.shape[0])
+    sm.gram = gram
+    with pytest.raises(ValueError, match="singular even with damp="):
+        damped_inverse_diag(sm, damp_rel=0.01)
+
+
+def test_damped_inverse_holds_one_extra_gram():
+    # tracemalloc sees numpy's arrays, not LAPACK's own workspace; the
+    # damped copy is one gram, the panels add at most two n x 64 arrays
+    x = np.asarray(Rng(1024, 64).gaussian((1024, 64)), dtype=np.float32)
+    sm = _moment(x)
+    tracemalloc.start()
+    try:
+        damped_inverse_diag(sm, damp_rel=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * sm.gram.nbytes
 
 
 def test_singular_without_damping_raises():
