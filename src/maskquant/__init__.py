@@ -51,7 +51,6 @@ from .qformat import (
 )
 from .rng import Rng
 from .stats import (
-    SaliencyMask,
     SecondMoment,
     block_scores,
     build_importance_mask,

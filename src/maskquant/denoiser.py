@@ -44,6 +44,10 @@ class ToyModelSpec:
     def mask_id(self) -> int:
         return self.vocab - 1
 
+    def quantizable_names(self) -> list[str]:
+        """Default quantization targets: the block projections."""
+        return [f"block{b}.{p}" for b in range(self.n_blocks) for p in ("up", "down")]
+
 
 class ToyModel:
     """Weights are immutable after construction; forwards may run in parallel."""
@@ -59,10 +63,6 @@ class ToyModel:
         self.embedding = embedding          # (vocab, d_model) float32
         self.layers = layers                # name -> (out, in) float32
         self.positional = positional        # (seq_len, d_model) float32 or None
-
-    def quantizable_names(self) -> list[str]:
-        """Default quantization targets: the block projections."""
-        return [f"block{b}.{p}" for b in range(self.spec.n_blocks) for p in ("up", "down")]
 
 
 def _tensor_shapes(spec: ToyModelSpec) -> dict[str, tuple[int, int]]:
@@ -261,6 +261,8 @@ def load_model(dir_path: str | os.PathLike) -> ToyModel:
             continue
         if "\t" in line:
             name, fname = line.split("\t", 1)
+            if "\0" in fname:  # no path can hold it: open() would raise ValueError
+                raise ContainerError(f"{manifest}:{lineno}: file name holds a NUL byte")
             tensor_files[name] = fname
         elif "=" in line:
             key, value = line.split("=", 1)

@@ -115,8 +115,8 @@ class PipelineConfig:
                 f"the model would hold more than {_MAX_MODEL_WEIGHTS} weights; lower vocab, "
                 "d_model, d_hidden, n_blocks or, with positional, seq_len"
             )
-        # the default targets are the block projections; target_layers refuses unknown names
-        targets = self.layers or [name for name in shapes if name.startswith("block")]
+        # target_layers refuses unknown names
+        targets = self.layers or spec.quantizable_names()
         _check_gram_entries(shapes[name][1] for name in targets if name in shapes)
 
     # derived paths
@@ -259,7 +259,7 @@ def target_layers(cfg: PipelineConfig, model: ToyModel) -> list[str]:
             if name in cfg.layers[:i]:
                 raise ConfigError(f"layer {name!r} is named more than once in layers")
         return list(cfg.layers)
-    return model.quantizable_names()
+    return model.spec.quantizable_names()
 
 
 def calibration_tokens(cfg: PipelineConfig, spec: ToyModelSpec) -> np.ndarray:
@@ -474,9 +474,9 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, sha
                 raise _SingularMoment(name, msg) from exc
         importance = stats.importance_matrix(weights, shared.inv_diags[inv_key])
     if cfg.use_dor:
-        mask = stats.build_importance_mask(importance, cfg.lambda_weight)
-        lam = mask.weights()
-        outlier_fraction = mask.outlier_fraction
+        mask = stats.build_importance_mask(importance)
+        lam = np.where(mask, cfg.lambda_weight, 1.0)
+        outlier_fraction = float(mask.mean())
 
     part = abmp.partition(rows, cols, cfg.group_width)
     if cfg.use_abmp:
@@ -495,7 +495,7 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, sha
     for (start, end), order in zip(part.ranges, alloc.orders):
         weighting = None
         if lam is not None:
-            weighting = (cfg.lambda_weight, np.packbits(mask.mask[:, start:end]).tobytes())
+            weighting = (cfg.lambda_weight, np.packbits(mask[:, start:end]).tobytes())
         keys.append((name, (start, end), cfg.daq_config(order), weighting))
     missing = [i for i, key in enumerate(keys) if key not in shared.fits]
     # missing groups of one order and width are fitted together
@@ -530,7 +530,7 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, sha
     row = {
         "rows": rows,
         "cols": cols,
-        "allocation": {str(b): alloc.orders.count(b) for b in (1, 2, 3)},
+        "allocation": {str(b): n for b, n in alloc.histogram().items()},
         "reallocated": alloc.reallocated,
         "avg_bits_full_groups": (
             sum(full_orders) / len(full_orders) if full_orders else None
@@ -765,13 +765,7 @@ def cmd_estimate_mem(cfg: PipelineConfig | None = None, qpk_path=None, preset: s
     model = get_model(cfg)
     names = target_layers(cfg, model)
     shapes = [
-        qformat.LayerShape(
-            name=name,
-            rows=model.layers[name].shape[0],
-            cols=model.layers[name].shape[1],
-            group_width=cfg.group_width,
-            orders=cfg.order,
-        )
+        qformat.LayerShape.tiled(name, *model.layers[name].shape, cfg.group_width, cfg.order)
         for name in names
     ]
     fp16_params = _fp16_params(model, names)

@@ -373,28 +373,20 @@ def read_qpk(path: str | os.PathLike) -> list[QpkLayer]:
 
 @dataclass(frozen=True)
 class LayerShape:
-    """Description of one quantized layer for size estimation."""
+    """Description of one quantized layer for size estimation: one
+    (cols, order) pair per group, in column order."""
 
     name: str
     rows: int
-    cols: int
-    group_width: int = 128
-    orders: int | Sequence[int] = 2  # uniform order, or one per group
+    groups: tuple[tuple[int, int], ...]
     row_mean: bool = True
 
-    def group_cols(self) -> list[int]:
-        return list(partition(self.rows, self.cols, self.group_width).widths())
-
-    def group_orders(self) -> list[int]:
-        n_groups = len(self.group_cols())
-        if isinstance(self.orders, int):
-            return [self.orders] * n_groups
-        orders = list(self.orders)
-        if len(orders) != n_groups:
-            raise ShapeError(
-                f"{self.name}: {len(orders)} orders for {n_groups} groups"
-            )
-        return orders
+    @classmethod
+    def tiled(cls, name: str, rows: int, cols: int, group_width=128, order=2, row_mean=True):
+        """A layer not yet quantized: its columns tiled as the pipeline tiles
+        them, every group at one order."""
+        widths = partition(rows, cols, group_width).widths()
+        return cls(name, rows, tuple((w, order) for w in widths), row_mean)
 
 
 def memory_estimate(layers: Sequence[LayerShape], fp16_params: int = 0) -> int:
@@ -406,7 +398,7 @@ def memory_estimate(layers: Sequence[LayerShape], fp16_params: int = 0) -> int:
         total += _LAYER_HEADER.size + _GROUP_COUNT.size
         if layer.row_mean:
             total += 2 * layer.rows
-        for g_cols, order in zip(layer.group_cols(), layer.group_orders()):
+        for g_cols, order in layer.groups:
             total += _group_nbytes(layer.rows, g_cols, order)
     return total + 2 * fp16_params
 
@@ -417,9 +409,7 @@ def describe_qpk(layers: Sequence[QpkLayer]) -> list[LayerShape]:
         LayerShape(
             name=layer.name,
             rows=layer.rows,
-            cols=layer.cols,
-            group_width=layer.group_width,
-            orders=[g.order for g in layer.groups],
+            groups=tuple((g.cols, g.order) for g in layer.groups),
             row_mean=layer.row_mean is not None,
         )
         for layer in layers
@@ -453,8 +443,6 @@ def llada8b_like_layers() -> tuple[list[LayerShape], int]:
             ("mlp.up", 12288, 4096),
             ("mlp.down", 4096, 12288),
         ):
-            layers.append(
-                LayerShape(name=f"block{block}.{suffix}", rows=rows, cols=cols)
-            )
+            layers.append(LayerShape.tiled(f"block{block}.{suffix}", rows, cols))
     fp16_params = 2 * 126464 * 4096
     return layers, fp16_params

@@ -21,10 +21,6 @@ class Rng:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def fork(self, stream: int) -> "Rng":
-        """Fresh generator under the same seed with a different stream id."""
-        return Rng(self.seed, stream)
-
     def uniform(self, size=None):
         """Uniform draw(s) in [0, 1)."""
         return self._gen.random(size)

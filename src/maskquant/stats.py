@@ -3,13 +3,12 @@
 A :class:`SecondMoment` accumulates the unnormalized sum of per-token outer
 products of a layer's inputs in float64. From a layer's weight matrix and
 the damped inverse diagonal of its second moment we derive a per-entry
-importance matrix, flag its outliers into an elementwise weight mask, and
+importance matrix, flag its outliers into a boolean mask, and
 score column groups for precision allocation.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -137,51 +136,31 @@ def importance_matrix(weights: np.ndarray, inv_diag: np.ndarray) -> np.ndarray:
     return scaled * scaled
 
 
-@dataclass
-class SaliencyMask:
-    """Boolean outlier mask with its upweight factor."""
+def build_importance_mask(importance: np.ndarray) -> np.ndarray:
+    """Boolean outlier mask: entries more than three standard deviations from
+    the global mean.
 
-    lambda_weight: float
-    mask: np.ndarray  # (rows, cols) bool
-
-    def weights(self) -> np.ndarray:
-        """Elementwise weight matrix: 1 everywhere, lambda_weight on outliers."""
-        return 1.0 + (self.lambda_weight - 1.0) * self.mask.astype(np.float64)
-
-    @property
-    def outlier_fraction(self) -> float:
-        return float(self.mask.mean()) if self.mask.size else 0.0
-
-
-def build_importance_mask(importance: np.ndarray, lambda_weight: float = 2.0) -> SaliencyMask:
-    """Flag entries more than three standard deviations from the global mean.
-
-    A constant importance matrix has no outliers (all-ones weights), not an
+    A constant importance matrix has no outliers (an all-False mask), not an
     error, so flat layers degrade gracefully.
     """
     z = np.asarray(importance, dtype=np.float64)
     if z.size == 0:
         raise ValueError("empty importance matrix")
-    if lambda_weight <= 1.0:
-        raise ValueError("lambda_weight must be > 1")
-    mu = z.mean()
     sigma = z.std()
     if sigma > 0:
-        mask = np.abs(z - mu) > 3.0 * sigma
-    else:
-        mask = np.zeros_like(z, dtype=bool)
-    return SaliencyMask(lambda_weight=float(lambda_weight), mask=mask)
+        return np.abs(z - z.mean()) > 3.0 * sigma
+    return np.zeros_like(z, dtype=bool)
 
 
-def proxy_loss(weights, approx, mask: SaliencyMask | np.ndarray | None = None) -> float:
-    """Squared Frobenius error, elementwise-weighted when a mask is given."""
+def proxy_loss(weights, approx, lam: np.ndarray | None = None) -> float:
+    """Squared Frobenius error, elementwise-weighted by `lam` when given."""
     w = np.asarray(weights, dtype=np.float64)
     a = np.asarray(approx, dtype=np.float64)
     if w.shape != a.shape:
         raise ShapeError(f"shape mismatch: {w.shape} vs {a.shape}")
     diff = w - a
-    if mask is not None:
-        lam = mask.weights() if isinstance(mask, SaliencyMask) else np.asarray(mask, dtype=np.float64)
+    if lam is not None:
+        lam = np.asarray(lam, dtype=np.float64)
         if lam.shape != w.shape:
             raise ShapeError(f"weight mask shape {lam.shape} vs {w.shape}")
         diff = lam * diff

@@ -33,7 +33,7 @@ def _sequences(model, count, seed=0):
 
 def test_default_structure():
     model = _model()
-    assert model.quantizable_names() == [
+    assert model.spec.quantizable_names() == [
         "block0.up",
         "block0.down",
         "block1.up",
@@ -91,7 +91,7 @@ def test_identity_override_bitwise_equal():
     model = _model()
     ids = Rng(2, 0).integers(0, 63, (1, 24)).astype(np.uint32)
     base, _ = forward(model, ids)
-    same, _ = forward(model, ids, overrides={n: model.layers[n] for n in model.quantizable_names()})
+    same, _ = forward(model, ids, overrides={n: model.layers[n] for n in model.spec.quantizable_names()})
     assert np.array_equal(base, same)
 
 
@@ -107,7 +107,7 @@ def test_block_forward_equals_row_forwards(positional, quantized, length):
     ids = Rng(5, 0).integers(0, 64, (9, length)).astype(np.uint32)
     overrides = None
     if quantized:
-        overrides = {n: model.layers[n] * np.float32(0.9) for n in model.quantizable_names()}
+        overrides = {n: model.layers[n] * np.float32(0.9) for n in model.spec.quantizable_names()}
     logits, inputs = forward(model, ids, overrides=overrides)
     assert logits.shape == (64, 9 * length)
     for row in range(ids.shape[0]):
@@ -153,7 +153,7 @@ def test_forward_validations():
 def test_divergence_identity_is_zero():
     model = _model()
     seqs = _sequences(model, 4)
-    report = eval_divergence(model, {n: model.layers[n] for n in model.quantizable_names()}, seqs)
+    report = eval_divergence(model, {n: model.layers[n] for n in model.spec.quantizable_names()}, seqs)
     assert report["logit_mse"] == 0.0
     assert report["softmax_kl"] == 0.0
 
@@ -161,7 +161,7 @@ def test_divergence_identity_is_zero():
 def test_divergence_destroyed_model_positive():
     model = _model()
     seqs = _sequences(model, 4)
-    zeros = {n: np.zeros_like(model.layers[n]) for n in model.quantizable_names()}
+    zeros = {n: np.zeros_like(model.layers[n]) for n in model.spec.quantizable_names()}
     report = eval_divergence(model, zeros, seqs)
     assert report["logit_mse"] > 0
     assert report["softmax_kl"] > 0
@@ -196,7 +196,7 @@ def test_divergence_blocks_equal_per_sequence_loop(positional):
     seqs = np.stack(_sequences(model, 10)[:19])
     quantized = {
         n: np.asarray(daq_fit(model.layers[n], cfg=DaqConfig(order=1)).reconstruct(), np.float32)
-        for n in model.quantizable_names()
+        for n in model.spec.quantizable_names()
     }
     assert eval_divergence(model, quantized, seqs) == _divergence_per_sequence(model, quantized, seqs)
 
@@ -207,7 +207,7 @@ def test_divergence_with_precomputed_reference():
     seqs = np.stack(_sequences(model, 10)[:19])
     quantized = {
         n: np.asarray(daq_fit(model.layers[n], cfg=DaqConfig(order=1)).reconstruct(), np.float32)
-        for n in model.quantizable_names()
+        for n in model.spec.quantizable_names()
     }
     reference = list(_reference_logits(model, seqs))
     assert [r.shape[1] for r in reference] == [8 * 64, 8 * 64, 3 * 64]
@@ -230,7 +230,7 @@ def test_divergence_deterministic_and_order_recorded():
                 daq_fit(model.layers[n], cfg=DaqConfig(order=order)).reconstruct(),
                 dtype=np.float32,
             )
-            for n in model.quantizable_names()
+            for n in model.spec.quantizable_names()
         }
         results[order] = eval_divergence(model, quantized, seqs)
         again = eval_divergence(model, quantized, seqs)
@@ -274,6 +274,7 @@ def _edit_manifest(root, old, new):
         ("embedding\tembedding.qdt\n", ""),         # missing entry
         ("seed=0\n", "seed=0\nextra\tembedding.qdt\n"),
         ("seed=0\n", "seed=0\nno separator\n"),
+        ("embedding.qdt", "embed\0ding.qdt"),       # no path holds a NUL byte
     ],
 )
 def test_load_rejects_malformed_manifest(tmp_path, old, new):

@@ -227,7 +227,7 @@ def test_calib_grams_match_per_sequence_accumulation(tmp_path, use_mcs, seq_len)
     tokens = calibration_tokens(cfg, model.spec)
     if use_mcs:
         tokens = [m.ids for m in simulate(tokens, cfg.mcs_config(model.spec.mask_id))]
-    reference = {name: SecondMoment(model.layers[name].shape[1]) for name in model.quantizable_names()}
+    reference = {name: SecondMoment(model.layers[name].shape[1]) for name in model.spec.quantizable_names()}
     for ids in tokens:
         _, inputs = forward(model, ids[None])
         for name, sm in reference.items():
@@ -267,7 +267,7 @@ def test_forward_lookup_names_see_every_token(tmp_path, monkeypatch):
     cmd_quantize(cfg)
     cmd_eval(cfg)
     model = get_model(cfg)
-    for name in model.quantizable_names():
+    for name in model.spec.quantizable_names():
         assert moments[name].count == tokens["calib"]
     assert tokens["eval"] == 2 * _eval_set(cfg, model.spec).size
     # 512-token blocks of 16 rows: 96 masked calibration rows, 32 eval rows
@@ -376,7 +376,7 @@ def test_grid_does_each_shared_piece_of_work_once(tmp_path, monkeypatch):
     assert len(packed) == len(blocks) == len(fitted)
     assert dequantized == []
     # masked moments for most arms, visible ones for no_mcs
-    assert len(inverted) == len(set(inverted)) == 2 * len(model.quantizable_names())
+    assert len(inverted) == len(set(inverted)) == 2 * len(model.spec.quantizable_names())
     assert len(eval_sets) == 1
     # one reference pass, then one pass per distinct set of arm layers; on
     # this small model several arms allocate the same orders, so share layers
@@ -514,7 +514,7 @@ def test_identity_injection_gives_zero_divergence(tmp_path):
 
     cfg = _cfg(tmp_path)
     model = get_model(cfg)
-    overrides = {name: model.layers[name] for name in model.quantizable_names()}
+    overrides = {name: model.layers[name] for name in model.spec.quantizable_names()}
     metrics = eval_divergence(model, overrides, _eval_set(cfg, model.spec))
     assert metrics == {"logit_mse": 0.0, "softmax_kl": 0.0}
 
@@ -529,7 +529,7 @@ def test_pipeline_accepts_external_weight_directory(tmp_path):
     cmd_calib(cfg)
     qpk_path, report = cmd_quantize(cfg)
     assert qpk_path.exists()
-    assert set(report["layers"]) == set(model.quantizable_names())
+    assert set(report["layers"]) == set(model.spec.quantizable_names())
 
 
 def _drop_model_sha256(report_path):

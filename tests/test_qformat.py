@@ -1,11 +1,16 @@
 """Packed-format round trips, dequantization, matvec, and size accounting."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskquant import qformat
+from maskquant.cli import main
 from maskquant.daq import DaqConfig, QuantizedGroup, RCBinaryOrder, center_rows, daq_fit
 from maskquant.errors import ShapeError
 from maskquant.qformat import (
@@ -331,9 +336,10 @@ def test_rc_matvec_byte_tables_property(
 def test_memory_estimate_component_arithmetic():
     # 4096x4096, uniform order 2, width 128: 4 MiB of sign planes and
     # 2*2*(4096+128) bytes of scales per group over 32 groups
-    shape = LayerShape("w", 4096, 4096, 128, 2, row_mean=False)
-    plane_bytes = sum(2 * 8 * ((4096 * gc + 63) // 64) for gc in shape.group_cols())
-    scale_bytes = sum(2 * 2 * (4096 + gc) for gc in shape.group_cols())
+    shape = LayerShape.tiled("w", 4096, 4096, 128, 2, row_mean=False)
+    assert shape.groups == ((128, 2),) * 32
+    plane_bytes = sum(order * 8 * ((4096 * gc + 63) // 64) for gc, order in shape.groups)
+    scale_bytes = sum(order * 2 * (4096 + gc) for gc, order in shape.groups)
     assert plane_bytes == 4 * 1024 * 1024
     assert scale_bytes == 540_672
     total = memory_estimate([shape])
@@ -361,7 +367,7 @@ def test_memory_anchor_fp16():
 
 def test_memory_anchor_llada_like():
     layers, fp16_params = llada8b_like_layers()
-    quantized = sum(l.rows * l.cols for l in layers)
+    quantized = sum(l.rows * gc for l in layers for gc, _ in l.groups)
     assert quantized == pytest.approx(7.0e9, rel=0.01)
     assert fp16_params == pytest.approx(1.0e9, rel=0.05)
     size = memory_estimate(layers, fp16_params)
@@ -371,9 +377,68 @@ def test_memory_anchor_llada_like():
 def test_memory_estimate_ratio_invariant():
     # reallocation moves orders around but keeps the byte total identical
     # when every group has the same width
-    uniform = LayerShape("w", 512, 512, 128, 2)
-    mixed = LayerShape("w", 512, 512, 128, [3, 2, 2, 1])
+    uniform = LayerShape.tiled("w", 512, 512, 128, 2)
+    mixed = LayerShape("w", 512, ((128, 3), (128, 2), (128, 2), (128, 1)))
     assert memory_estimate([uniform]) == memory_estimate([mixed])
+
+
+def test_tiled_shape_follows_the_pipeline_partition():
+    # a ragged last group, as abmp.partition tiles it
+    shape = LayerShape.tiled("w", 6, 10, group_width=4, order=3, row_mean=False)
+    assert shape.groups == ((4, 3), (4, 3), (2, 3))
+    assert not shape.row_mean
+
+
+_RAGGED_LAYER = st.integers(1, 12).flatmap(
+    lambda cols: st.tuples(
+        st.integers(1, 9),  # rows
+        st.just(cols),
+        # cut points split the columns into groups of any widths
+        st.sets(st.integers(1, cols - 1), max_size=cols - 1) if cols > 1 else st.just(set()),
+        st.integers(1, 2 * cols),  # header group width, unrelated to the groups
+        st.booleans(),  # row means
+        st.integers(0, 2**32 - 1),  # seed of signs, scales and orders
+    )
+)
+
+
+def _ragged_layer(name, rows, cols, cuts, group_width, centered, seed):
+    """A layer record whose groups have the widths that `cuts` gives, each at
+    a random order of 1 to 3, whatever `group_width` its header records."""
+    rng = np.random.default_rng(seed)
+    edges = [0, *sorted(cuts), cols]
+    groups = []
+    for start, end in zip(edges, edges[1:]):
+        terms = [
+            RCBinaryOrder(
+                alpha_r=rng.uniform(0.1, 1.0, rows).astype(np.float32),
+                alpha_c=rng.uniform(0.1, 1.0, end - start).astype(np.float32),
+                signs=np.where(rng.random((rows, end - start)) < 0.5, 1, -1).astype(np.int8),
+            )
+            for _ in range(rng.integers(1, 4))
+        ]
+        groups.append(QuantizedGroup(terms))
+    mu = rng.standard_normal(rows) if centered else None
+    return build_layer(name, groups, group_width, cols, mu)
+
+
+@given(layers=st.lists(_RAGGED_LAYER, min_size=1, max_size=3))
+@example(layers=[(10, 8, {7}, 4, True, 0)])  # groups of 7 and 1 columns under width 4
+@example(layers=[(10, 8, {2, 5}, 4, True, 0)])  # three groups where the width makes two
+@settings(max_examples=60, deadline=None)
+def test_size_accounting_is_exact_on_any_readable_grouping(layers, tmp_path_factory):
+    # read_qpk accepts any group widths that add up to the layer's columns;
+    # the estimate and `estimate-mem --qpk` must size each such file exactly
+    records = [_ragged_layer(f"l{i}", *spec) for i, spec in enumerate(layers)]
+    path = tmp_path_factory.mktemp("qpk") / "m.qpk"
+    write_qpk(path, records)
+    size = path.stat().st_size
+    assert memory_estimate(describe_qpk(records)) == size
+    assert memory_estimate(describe_qpk(read_qpk(path))) == size
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["estimate-mem", "--qpk", str(path)]) == 0
+    assert json.loads(out.getvalue())["bytes"] == size
 
 
 def _dequantize_oracle(layer):

@@ -26,10 +26,6 @@ def test_stream_order_independence():
     assert np.array_equal(first_then_second[1], second_then_first[0])
 
 
-def test_fork_matches_direct_construction():
-    assert np.array_equal(Rng(9, 0).fork(3).uniform(10), Rng(9, 3).uniform(10))
-
-
 def test_uniform_moments():
     draws = Rng(0, 0).uniform(1_000_000)
     assert 0.49 <= draws.mean() <= 0.51

@@ -197,9 +197,9 @@ def test_importance_matrix_rejects_bad_diag():
 
 
 def test_constant_importance_has_no_outliers():
-    mask = build_importance_mask(np.full((4, 4), 7.0), lambda_weight=2.0)
-    assert not mask.mask.any()
-    assert np.array_equal(mask.weights(), np.ones((4, 4)))
+    mask = build_importance_mask(np.full((4, 4), 7.0))
+    assert mask.dtype == bool and not mask.any()
+    assert np.array_equal(np.where(mask, 2.0, 1.0), np.ones((4, 4)))
 
 
 def test_single_outlier_flagged_by_hand_oracle():
@@ -208,20 +208,20 @@ def test_single_outlier_flagged_by_hand_oracle():
     mu = z.sum() / 100.0
     sigma = np.sqrt((z**2).sum() / 100.0 - mu**2)
     assert abs(z[17] - mu) > 3 * sigma > abs(z[0] - mu)  # oracle: only entry 17
-    mask = build_importance_mask(z.reshape(10, 10), lambda_weight=2.0)
+    mask = build_importance_mask(z.reshape(10, 10))
     expected = np.zeros((10, 10), dtype=bool)
     expected[1, 7] = True
-    assert np.array_equal(mask.mask, expected)
-    assert mask.weights()[1, 7] == 2.0
-    assert mask.outlier_fraction == 0.01
+    assert np.array_equal(mask, expected)
+    assert np.where(mask, 2.0, 1.0)[1, 7] == 2.0
+    assert mask.mean() == 0.01
 
 
 @given(scale=st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=25, deadline=None)
 def test_mask_scale_invariance(scale):
     z = np.asarray(Rng(6, 0).gaussian((8, 8))) ** 2
-    base = build_importance_mask(z, 2.0).mask
-    scaled = build_importance_mask(scale * z, 2.0).mask
+    base = build_importance_mask(z)
+    scaled = build_importance_mask(scale * z)
     assert np.array_equal(base, scaled)
 
 
