@@ -6,7 +6,6 @@ from .daq import (
     DaqConfig,
     QuantizedGroup,
     RCBinaryOrder,
-    classic_binarize,
     daq_fit,
     update_alpha_c,
     update_alpha_r,

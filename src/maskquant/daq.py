@@ -10,7 +10,8 @@ weight matrix concentrates the objective on salient entries.
 
 Groups of one shape are fitted together as a (G, rows, cols) stack of at
 most _MAX_STACK_WEIGHTS weights. Each group keeps its own stop rule and
-rollback, and every reduction runs per group in the order a lone fit uses,
+rollback: a group that stops stays in the stack, and each later sweep of it
+is undone. Every reduction runs per group in the order a lone fit uses,
 so a stack returns the same bits as fitting its groups one at a time. The
 public functions are the G = 1 view of the stacked code. The stacks of one
 call are independent, so the calling thread and a pool of one worker per
@@ -140,17 +141,6 @@ def center_rows(w) -> tuple[np.ndarray, np.ndarray]:
     w = np.asarray(w, dtype=np.float64)
     mu = w.mean(axis=1)
     return mu, w - mu[:, None]
-
-
-def classic_binarize(w):
-    """Per-row single-scale binarization: sign carrier times the row mean of
-    absolute values. Returns (alpha_r, signs); to binarize around the row
-    means, pass the second result of center_rows.
-    """
-    w = _validated(w)
-    alpha_r = np.abs(w).mean(axis=1)
-    signs = np.where(w >= 0, 1, -1).astype(np.int8)
-    return alpha_r, signs
 
 
 def _rc_init(x: np.ndarray):
@@ -305,8 +295,8 @@ def _fit_stack(
 ) -> list[QuantizedGroup]:
     """daq_fit of each matrix of the stack `target` (G, rows, cols) against
     the squared weight masks `lam2` (the same shape, or None). A group that
-    stops leaves the stack, so each keeps its own tolerance stop, sweep limit
-    and rollback."""
+    stops stays in the stack, frozen: each later sweep of it is undone, so
+    each keeps its own tolerance stop, sweep limit and rollback."""
     order = cfg.order
     size, rows, cols = target.shape
     terms = np.empty((order, size, rows, cols))  # outer(alpha_r, alpha_c) * signs of each term
@@ -318,9 +308,8 @@ def _fit_stack(
         np.multiply(_outer(ar[k], ac[k]), signs[k], out=terms[k])
 
     histories = [[loss] for loss in _weighted_sq(target - _sum_terms(terms), lam2).tolist()]
-    live = list(range(size))  # stack position -> group
-    fits: list[QuantizedGroup | None] = [None] * size
-    for sweep in range(cfg.sweeps):
+    done = np.zeros(size, dtype=bool)
+    for _ in range(cfg.sweeps):
         saved = ar.copy(), ac.copy(), signs
         planes = np.empty_like(terms)  # outer(alpha_r, alpha_c) of each term
         for k in range(order):
@@ -331,29 +320,18 @@ def _fit_stack(
         signs = _sign_search(target, planes)
         np.multiply(planes, signs, out=terms)
         cur = _weighted_sq(target - _sum_terms(terms), lam2)
-        prev = np.array([histories[g][-1] for g in live])
-        # a sweep that raised the loss is undone; otherwise it is recorded
-        rolled = cur > prev
-        for g, loss, undo in zip(live, cur.tolist(), rolled):
-            if not undo:
-                histories[g].append(loss)
-        if rolled.any():
-            ar[:, rolled], ac[:, rolled], signs[:, rolled] = (s[:, rolled] for s in saved)
+        prev = np.array([history[-1] for history in histories])
+        # a sweep that raised the loss is undone, as is any sweep of a stopped group
+        undo = done | (cur > prev)
+        for history, loss, skip in zip(histories, cur.tolist(), undo):
+            if not skip:
+                history.append(loss)
+        ar[:, undo], ac[:, undo], signs[:, undo] = (s[:, undo] for s in saved)
         gain = np.divide(prev - cur, prev, out=np.zeros_like(prev), where=prev > 0)
-        stopped = rolled | (prev <= 0.0) | (gain < cfg.tol)
-        if stopped.all() or sweep == cfg.sweeps - 1:
+        done |= undo | (prev <= 0.0) | (gain < cfg.tol)
+        if done.all():
             break
-        if stopped.any():
-            for j in np.flatnonzero(stopped):
-                fits[live[j]] = _fitted_group(ar, ac, signs, j, histories[live[j]])
-            keep = ~stopped
-            live = [g for g, kept in zip(live, keep) if kept]
-            target = target[keep]
-            lam2 = None if lam2 is None else lam2[keep]
-            ar, ac, signs, terms = ar[:, keep], ac[:, keep], signs[:, keep], terms[:, keep]
-    for j, g in enumerate(live):
-        fits[g] = _fitted_group(ar, ac, signs, j, histories[g])
-    return fits
+    return [_fitted_group(ar, ac, signs, j, histories[j]) for j in range(size)]
 
 
 def _fit_lane(blocks, lams, cfg: DaqConfig, starts, step: int) -> list[list[QuantizedGroup]]:

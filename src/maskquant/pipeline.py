@@ -89,6 +89,9 @@ class PipelineConfig:
             value = getattr(self, field.name)
             if field.type in ("float", float) and not math.isfinite(value):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
+        for name in ("model_dir", "calib_path", "out_dir"):
+            if "\0" in getattr(self, name):  # no file system takes it in a path
+                raise ConfigError(f"{name} holds a NUL byte")
         try:
             daq.DaqConfig(order=self.order, sweeps=self.sweeps, tol=self.tol, epsilon=self.epsilon)
             mcs.McsConfig(timesteps=self.timesteps, prefix_ratio=self.prefix_ratio, seed=self.seed)

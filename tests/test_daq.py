@@ -13,7 +13,6 @@ from maskquant import daq
 from maskquant.daq import (
     DaqConfig,
     center_rows,
-    classic_binarize,
     daq_fit,
     update_alpha_c,
     update_alpha_r,
@@ -28,31 +27,13 @@ def _gauss(shape, seed, stream=0):
     return np.asarray(Rng(seed, stream).gaussian(shape))
 
 
-# --- classic binarization ----------------------------------------------------
-
-
-def test_classic_antisymmetric_row_is_exact():
-    mu, x = center_rows(np.array([[1.0, -1.0]]))
-    alpha, signs = classic_binarize(x)
-    assert mu[0] == 0.0
-    assert alpha[0] == 1.0
-    assert signs.tolist() == [[1, -1]]
-
-
-def test_classic_constant_row_absorbed_by_mean():
-    mu, x = center_rows(np.array([[2.0, 2.0]]))
-    alpha, signs = classic_binarize(x)
-    assert mu[0] == 2.0
-    assert alpha[0] == 0.0
-
-
-def test_classic_uncentered_row_means():
-    alpha, signs = classic_binarize(np.array([[1.0, -2.0], [3.0, 4.0]]))
-    assert np.allclose(alpha, [1.5, 3.5])
-    assert signs.tolist() == [[1, -1], [1, 1]]
-
-
 # --- initialization ----------------------------------------------------------
+
+
+def test_center_rows_returns_the_means_and_the_residual():
+    mu, x = center_rows(np.array([[1.0, -1.0], [2.0, 2.0], [1.0, -2.0]]))
+    assert mu.tolist() == [0.0, 2.0, -0.5]
+    assert x.tolist() == [[1.0, -1.0], [0.0, 0.0], [1.5, -1.5]]
 
 
 def _greedy_term(x):
@@ -251,8 +232,7 @@ def test_rsr_rank1_magnitude_exact():
 def test_rsr_beats_classic_on_gaussian():
     x = _gauss((64, 64), seed=8)
     fit = _refined_term(x)
-    alpha, signs = classic_binarize(x)
-    classic = proxy_loss(x, alpha[:, None] * signs)
+    classic = proxy_loss(x, np.abs(x).mean(axis=1)[:, None] * np.where(x >= 0, 1.0, -1.0))
     assert proxy_loss(x, fit.reconstruct()) <= classic
 
 
@@ -506,19 +486,36 @@ def test_stacked_fit_matches_per_group_oracle(data):
         _assert_same_as_oracle(fit, blocks[g], None if lams is None else lams[g], cfg)
 
 
-def test_stacked_fit_keeps_each_groups_stop():
-    # in one stack: two groups that roll back after 9 and 8 recorded sweeps
-    # (seeds found by search), one that runs every sweep, and an all-zero group
-    # that stops on its first sweep
-    cfg = DaqConfig(order=1, sweeps=11, tol=0.0)
-    blocks = [
-        _gauss((6, 8), seed=1),
-        _gauss((6, 8), seed=6),
-        _gauss((6, 8), seed=9) * np.arange(1, 49).reshape(6, 8),
-        np.zeros((6, 8)),
-    ]
+@pytest.mark.parametrize(
+    "cfg, blocks, sweeps",
+    [
+        # at tol=0: two groups that roll back after 9 and 8 recorded sweeps
+        # (seeds found by search), one that runs every sweep, and an all-zero
+        # group that stops on its first sweep
+        (
+            DaqConfig(order=1, sweeps=11, tol=0.0),
+            [
+                _gauss((6, 8), seed=1),
+                _gauss((6, 8), seed=6),
+                _gauss((6, 8), seed=9) * np.arange(1, 49).reshape(6, 8),
+                np.zeros((6, 8)),
+            ],
+            [9, 8, 11, 1],
+        ),
+        # at tol=1e-3: three groups that stop by tolerance after 5, 7 and 9
+        # sweeps (seeds found by search) and stay frozen in the stack while
+        # the fourth runs every sweep, and an all-zero group
+        (
+            DaqConfig(order=2, sweeps=11, tol=1e-3),
+            [_gauss((6, 8), seed=seed) for seed in (18, 6, 10, 0)] + [np.zeros((6, 8))],
+            [5, 7, 9, 11, 1],
+        ),
+    ],
+    ids=["rollback", "tol"],
+)
+def test_stacked_fit_keeps_each_groups_stop(cfg, blocks, sweeps):
     fits = daq._fit_groups(blocks, None, cfg)
-    assert [len(fit.loss_history) - 1 for fit in fits] == [9, 8, 11, 1]
+    assert [len(fit.loss_history) - 1 for fit in fits] == sweeps
     for fit, w in zip(fits, blocks):
         _assert_same_as_oracle(fit, w, None, cfg)
 

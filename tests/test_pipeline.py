@@ -935,6 +935,9 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
             _quantize_after_calib("vocab=8\ndamp_rel=0"), 3, id="quantize_singular_moments"
         ),
         pytest.param(_config_with("layers=block0.up,block0.up"), 2, id="layer_named_twice"),
+        pytest.param(_config_with("out_dir=/x\0y"), 2, id="out_dir_with_nul"),
+        pytest.param(_config_with("model_dir=a\0b"), 2, id="model_dir_with_nul"),
+        pytest.param(_config_with("calib_path=a\0b"), 2, id="calib_path_with_nul"),
         (_calib_rows_beyond_token_bound, 2),
         (_model_seq_len_beyond_calib_bound, 2),
         (_model_seq_len_beyond_eval_bound, 2),
