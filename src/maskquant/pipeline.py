@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,9 @@ _MAX_GRAM_ENTRIES = 1 << 27  # float64 second-moment entries calib holds (1 GiB)
 _MAX_LAMBDA_WEIGHT = 1e6
 # relative ridge: it scales the importance, and 1e300 overflowed it to inf
 _MAX_DAMP_REL = 1e6
+# bound on the damped gram's condition number: on the benchmark grams the inverse
+# diagonal is within 2e-6 of an eigh oracle at 1e10, and only within 1e-1 at 1e15
+_MAX_CONDITION = 1e10
 _MAX_GROUP_WIDTH = (1 << 64) - 1  # QPK1 stores the group width as a u64
 
 
@@ -161,11 +164,6 @@ class PipelineConfig:
             tol=self.tol,
             epsilon=self.epsilon,
         )
-
-    def echo(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["layers"] = list(self.layers)
-        return out
 
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -381,7 +379,8 @@ def _stats_reader(cfg: PipelineConfig, model: ToyModel, names: list[str]):
     accumulated them from this config's model, calibration tokens and masking
     settings and records each file's sha256. A file is read only when its
     layer is quantized, so quantize holds one gram at a time; it is parsed,
-    then its bytes are checked against the recorded sha256."""
+    its bytes are checked against the recorded sha256, and the reader
+    returns it with its damped inverse diagonal (see _with_inverse_diag)."""
     paths = {name: _stats_path(cfg, name) for name in names}
     for name, path in paths.items():
         if not path.exists():
@@ -409,35 +408,37 @@ def _stats_reader(cfg: PipelineConfig, model: ToyModel, names: list[str]):
                 "digests were recorded have none); rerun calib with this config"
             )
 
-    def read(name: str) -> stats.SecondMoment:
+    def read(name: str):
         path = paths[name]
         sm = stats.load_second_moment(path)
         if _file_sha256(path) != digests[path.name]:
             raise ContainerError(f"{path}: sha256 differs from the one recorded in {manifest}")
-        return sm
+        return _with_inverse_diag(name, sm, cfg.damp_rel, ContainerError, str(path))
 
     return read
 
 
-class _SingularMoment(ValueError):
-    """The second moment of `layer` stays singular after damping."""
+def _with_inverse_diag(name: str, sm: stats.SecondMoment, damp_rel: float, error, where: str):
+    """The pair `_quantize` reads for layer `name`: its second moment `sm` and
+    the diagonal of its damped inverse.
 
-    def __init__(self, layer: str, message: str):
-        super().__init__(message)
-        self.layer = layer
-
-
-@dataclass
-class _Shared:
-    """Results that depend on less than a whole arm, computed by the first
-    arm of a grid that needs them and reused by the later ones; a lone
-    quantize starts from an empty one. A key names everything its result
-    depends on besides the model and, for `inv_diags`, the moments, so a
-    reused result is the one the arm would have computed."""
-
-    inv_diags: dict = field(default_factory=dict)  # (layer, damp_rel) -> damped inverse diagonal
-    # (layer, column range, DaqConfig, weight-mask key or None) -> _Fit
-    fits: dict = field(default_factory=dict)
+    For a gram of width n, damping by damp_rel times its mean diagonal bounds
+    the condition number by n / damp_rel + 1 (the largest eigenvalue is at
+    most the trace). A `damp_rel` that leaves that bound above _MAX_CONDITION
+    raises ConfigError before anything is factored; a moment that stays
+    singular after damping raises `error`, its message prefixed by `where`."""
+    n = sm.dim
+    if n > (_MAX_CONDITION - 1) * damp_rel:
+        bound = n / damp_rel + 1 if damp_rel else math.inf
+        raise ConfigError(
+            f"layer {name!r}: damp_rel={damp_rel:g} bounds the condition number of its "
+            f"{n}-wide damped second moment only by {n}/damp_rel + 1 = {bound:.3g}, above "
+            f"{_MAX_CONDITION:g}; raise damp_rel"
+        )
+    try:
+        return sm, stats.damped_inverse_diag(sm, damp_rel)
+    except ValueError as exc:
+        raise error(f"{where}: layer {name!r}: {exc} (damp_rel={damp_rel:g})") from exc
 
 
 @dataclass(frozen=True)
@@ -457,25 +458,22 @@ def _keep(fit: daq.QuantizedGroup, name: str) -> _Fit:
     return _Fit(packed, qformat._group_block(packed), fit.loss_history[0], fit.loss_history[-1])
 
 
-def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, shared: _Shared):
-    """Quantize one layer, reusing and adding to the fits in `shared`.
-    Returns its packed record, its report row, its float32 reconstruction
-    (bit for bit qformat.dequantize of the record) and its fit keys, which
-    name everything that reconstruction depends on besides the model."""
+def _quantize_layer(name: str, weights: np.ndarray, moment, cfg: PipelineConfig, fits: dict):
+    """Quantize one layer against `moment`, its second moment and damped
+    inverse diagonal (None for a config that uses neither), reusing and
+    adding to `fits`, which maps (layer, column range, DaqConfig, weight-mask
+    key or None) to a _Fit. Returns its packed record, its report row, its
+    float32 reconstruction (bit for bit qformat.dequantize of the record) and
+    its fit keys, which name everything that reconstruction depends on
+    besides the model."""
     rows, cols = weights.shape
+    sm, inv_diag = moment or (None, None)
     importance = None
     mask = None
     lam = None
     outlier_fraction = None
     if cfg.use_dor or cfg.use_abmp:
-        inv_key = (name, cfg.damp_rel)
-        if inv_key not in shared.inv_diags:
-            try:
-                shared.inv_diags[inv_key] = stats.damped_inverse_diag(sm, cfg.damp_rel)
-            except ValueError as exc:
-                msg = f"layer {name!r}: {exc} (damp_rel={cfg.damp_rel:g})"
-                raise _SingularMoment(name, msg) from exc
-        importance = stats.importance_matrix(weights, shared.inv_diags[inv_key])
+        importance = stats.importance_matrix(weights, inv_diag)
     if cfg.use_dor:
         mask = stats.build_importance_mask(importance)
         lam = np.where(mask, cfg.lambda_weight, 1.0)
@@ -500,20 +498,20 @@ def _quantize_layer(name: str, weights: np.ndarray, sm, cfg: PipelineConfig, sha
         if lam is not None:
             weighting = (cfg.lambda_weight, np.packbits(mask[:, start:end]).tobytes())
         keys.append((name, (start, end), cfg.daq_config(order), weighting))
-    missing = [i for i, key in enumerate(keys) if key not in shared.fits]
+    missing = [i for i, key in enumerate(keys) if key not in fits]
     # missing groups of one order and width are fitted together
     kinds = list(zip(alloc.orders, part.widths()))
     for kind in dict.fromkeys(kinds[i] for i in missing):
         members = [i for i in missing if kinds[i] == kind]
         columns = [slice(*part.ranges[i]) for i in members]
-        fits = daq._fit_groups(
+        fitted = daq._fit_groups(
             [target[:, c] for c in columns],
             None if lam is None else [lam[:, c] for c in columns],
             cfg.daq_config(kind[0]),
         )
-        shared.fits.update((keys[i], _keep(fit, name)) for i, fit in zip(members, fits))
+        fits.update((keys[i], _keep(fit, name)) for i, fit in zip(members, fitted))
     del target, lam, mask  # no view of them outlives the fits, so they are freed here
-    groups = [shared.fits[key] for key in keys]
+    groups = [fits[key] for key in keys]
     loss_init = 0.0
     loss_final = 0.0
     for fit in groups:
@@ -551,26 +549,24 @@ def _quantize(
     model: ToyModel,
     names: list[str],
     moment,
-    shared: _Shared | None = None,
+    fits: dict | None = None,
     matrices: dict | None = None,
 ):
-    """Quantize the named layers, each against the second moment that
-    `moment(name)` returns (None for a config that uses none), reusing and
-    adding to the results in `shared`, whose inverse diagonals come from
-    those moments. Each moment is asked for when its layer is reached and
-    dropped after it. Without `shared` nothing is reused, and each layer's
-    fits are freed once it is packed. `matrices`, when given, receives each
+    """Quantize the named layers, each against the pair that `moment(name)`
+    returns: the layer's second moment and its damped inverse diagonal (None
+    for a config that uses neither). Each pair is asked for when its layer is
+    reached and dropped after it. The fits of a grid's arms are reused from
+    and added to `fits`; without it nothing is reused, and each layer's fits
+    are freed once it is packed. `matrices`, when given, receives each
     layer's fit keys and float32 reconstruction under its name; otherwise
     the reconstruction is dropped with the layer. Returns the packed records
-    and the report, whose `eval` is null. A moment that stays singular after
-    damping raises _SingularMoment."""
+    and the report, whose `eval` is null."""
     records = []
     layer_rows = {}
     for name in names:
         try:
-            layer_shared = _Shared() if shared is None else shared
             record, row, matrix, keys = _quantize_layer(
-                name, model.layers[name], moment(name), cfg, layer_shared
+                name, model.layers[name], moment(name), cfg, {} if fits is None else fits
             )
         except ShapeError as exc:
             raise ShapeError(f"layer {name!r}: {exc}") from exc
@@ -584,7 +580,7 @@ def _quantize(
     total_bytes = qpk_bytes + 2 * fp16_params
     report = {
         "seed": cfg.seed,
-        "config": cfg.echo(),
+        "config": dataclasses.asdict(cfg),
         "model_sha256": _weights_sha256(model).hexdigest(),
         "layers": layer_rows,
         "memory": {
@@ -612,10 +608,7 @@ def cmd_quantize(cfg: PipelineConfig):
     model = get_model(cfg)
     names = target_layers(cfg, model)
     moment = _stats_reader(cfg, model, names) if (cfg.use_dor or cfg.use_abmp) else {}.get
-    try:
-        records, report = _quantize(cfg, model, names, moment)
-    except _SingularMoment as exc:
-        raise ContainerError(f"{_stats_path(cfg, exc.layer)}: {exc}") from exc
+    records, report = _quantize(cfg, model, names, moment)
     _write_run(cfg, records, report)
     return cfg.qpk_path, report
 
@@ -791,8 +784,8 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     reallocation-ratio sweep. Arms with one statistics fingerprint share one
     calibration, kept in memory, and its inverse diagonals; all arms share
     the DAQ fits, each packed and reconstructed once, the eval set and its
-    full-precision logits (see _Shared). Arms whose layers have the same fit
-    keys have the same layers, and share one eval row.
+    full-precision logits. Arms whose layers have the same fit keys have the
+    same layers, and share one eval row.
     Also records whether the full pipeline beat the plain uniform arm on
     held-out divergence; small-model runs are not guaranteed to preserve
     that ordering, so a violation is flagged rather than fatal.
@@ -813,7 +806,7 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     # the arms override no field the eval set depends on
     eval_set = _eval_set(cfg, model.spec)
     reference = list(_reference_logits(model, eval_set))
-    shared = _Shared()
+    fits = {}  # every arm's fits: see _quantize_layer
     scored = {}  # the fit keys of an arm's layers -> its eval row
     plan = []  # (statistics fingerprint, "" for an arm that uses none; arm; its config)
     for arm, override in arms.items():
@@ -825,14 +818,15 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     # arms that share statistics run back to back, so one set of moments is alive at a time
     for stats_key, arm, sub in sorted(plan, key=lambda step: step[0]):
         if stats_key != current:
-            current, moments = stats_key, None
-            shared.inv_diags.clear()  # they came from the previous moments
-            moments = _calibrate(sub, model, names, tokens) if stats_key else {}
+            current, pairs = stats_key, {}
+            if stats_key:
+                # a comprehension, so no name holds a moment into the next calibration
+                pairs = {
+                    name: _with_inverse_diag(name, sm, sub.damp_rel, ConfigError, f"arm {arm!r}")
+                    for name, sm in _calibrate(sub, model, names, tokens).items()
+                }
         matrices = {}
-        try:
-            records, report = _quantize(sub, model, names, moments.get, shared, matrices)
-        except _SingularMoment as exc:
-            raise ConfigError(f"arm {arm!r}: {exc}") from exc
+        records, report = _quantize(sub, model, names, pairs.get, fits, matrices)
         eval_key = tuple(keys for keys, _ in matrices.values())
         if eval_key not in scored:
             overrides = {name: matrix for name, (_, matrix) in matrices.items()}

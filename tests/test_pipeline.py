@@ -6,6 +6,7 @@ import json
 import shutil
 import struct
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from maskquant.errors import ConfigError, ShapeError
 from maskquant.mcs import simulate
 from maskquant.pipeline import (
     PipelineConfig,
-    _Shared,
     _calibrate,
     _eval_set,
     _quantize,
+    _with_inverse_diag,
     _write_report,
     ablation_grid,
     calibration_tokens,
@@ -61,6 +62,15 @@ def _calibrated(cfg):
     """The in-memory second moments of cfg's target layers, as calib computes them."""
     model = get_model(cfg)
     return _calibrate(cfg, model, target_layers(cfg, model), calibration_tokens(cfg, model.spec))
+
+
+def _calibrated_pairs(cfg):
+    """Each target layer's pair of in-memory second moment and damped inverse
+    diagonal, as the grid hands them to _quantize."""
+    return {
+        name: _with_inverse_diag(name, sm, cfg.damp_rel, ConfigError, "test")
+        for name, sm in _calibrated(cfg).items()
+    }
 
 
 def test_config_file_parsing(tmp_path):
@@ -310,6 +320,23 @@ _ARMS = {
 }
 
 
+def test_grid_holds_one_calibrations_moments_at_a_time(tmp_path, monkeypatch):
+    import maskquant.pipeline
+
+    alive = []  # weakrefs to the moments of every calibration so far
+    inner = maskquant.pipeline._calibrate
+
+    def spy(*args):
+        assert [ref for ref in alive if ref() is not None] == []
+        moments = inner(*args)
+        alive.extend(weakref.ref(sm) for sm in moments.values())
+        return moments
+
+    monkeypatch.setattr(maskquant.pipeline, "_calibrate", spy)
+    ablation_grid(_cfg(tmp_path))
+    assert len(alive) == 2 * 4  # the masked and the visible moments of four layers
+
+
 def test_grid_arms_match_standalone_runs(tmp_path):
     # the arms share fits, inverse diagonals and the eval reference, so
     # each must still write what a run of its config alone writes; width-4
@@ -391,9 +418,8 @@ def test_quantize_hands_back_each_layer_as_dequantize_reads_it(tmp_path):
     cfg = _cfg(tmp_path, d_model=20, d_hidden=36, ratio=0.5)
     model = get_model(cfg)
     names = target_layers(cfg, model)
-    moments = _calibrate(cfg, model, names, calibration_tokens(cfg, model.spec))
     matrices = {}
-    records, _ = _quantize(cfg, model, names, moments.get, _Shared(), matrices)
+    records, _ = _quantize(cfg, model, names, _calibrated_pairs(cfg).get, {}, matrices)
     assert {g.order for record in records for g in record.groups} == {1, 2, 3}
     assert {g.cols for record in records for g in record.groups} == {8, 4}
     for record in records:
@@ -927,12 +953,13 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
         (_eval_of_another_model, 2),
         (_eval_without_report, 3),
         pytest.param(_config_with(b"seed=\xff"), 2, id="config_not_utf8"),
+        # damp_rel=0 leaves the condition number unbounded, so both are refused
+        # before the inverse; the singular paths are tested at the default damp_rel
         pytest.param(
             _config_with("vocab=8\ndamp_rel=0", "ablate"), 2, id="ablate_singular_moments"
         ),
-        # statistics calib wrote, so the sha256 check passes and the inverse refuses them
         pytest.param(
-            _quantize_after_calib("vocab=8\ndamp_rel=0"), 3, id="quantize_singular_moments"
+            _quantize_after_calib("vocab=8\ndamp_rel=0"), 2, id="quantize_singular_moments"
         ),
         pytest.param(_config_with("layers=block0.up,block0.up"), 2, id="layer_named_twice"),
         pytest.param(_config_with("out_dir=/x\0y"), 2, id="out_dir_with_nul"),
@@ -1044,6 +1071,81 @@ def test_quantize_refuses_statistics_changed_after_calib(tmp_path, capsys):
     assert {name: (run / name).read_bytes() for name in before} == before
 
 
+def _stats_gram_zero_recorded(stats_dir):
+    # the manifest records the zero gram's sha256, so only the inverse refuses it
+    _stats_gram_zero(stats_dir)
+    digest = hashlib.sha256((stats_dir / "block0.up.qdt").read_bytes()).hexdigest()
+    ours = f"{digest}  block0.up.qdt"
+    _edit_manifest(lambda lines: [ours if l[66:] == ours[66:] else l for l in lines])(stats_dir)
+
+
+def _ablate_on_zero_up_weights(tmp_path):
+    # block0.up's ReLU outputs are all 0, so block0.down's gram is 0 and its damping too
+    def zero_up(weights):
+        path = weights / "block0.up.qdt"
+        write_tensor(path, np.zeros_like(read_tensor(path)))
+
+    return ["ablate", "--config", str(_model_dir_run(tmp_path, zero_up))]
+
+
+@pytest.mark.parametrize(
+    "make_args, code, named",
+    [
+        pytest.param(
+            _calibrated_then(_stats_gram_zero_recorded),
+            3,
+            ("stats/block0.up.qdt", "layer 'block0.up'"),
+            id="quantize",
+        ),
+        pytest.param(_ablate_on_zero_up_weights, 2, ("arm '", "layer 'block0.down'"), id="ablate"),
+    ],
+)
+def test_singular_moment_at_default_damping_is_refused(tmp_path, capsys, make_args, code, named):
+    assert main(make_args(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert "singular even with damp=0 (damp_rel=0.01)" in err and "Traceback" not in err
+    assert all(part in err for part in named), err
+
+
+@pytest.mark.parametrize(
+    "damp, refused",
+    [
+        # n/damp_rel + 1 bounds the condition number of an n-wide damped gram;
+        # at 3.3e-9 that is 4.8e9 for the 16-wide grams and 9.7e9 for the 32-wide ones
+        ("3.3e-9", None),
+        ("3.1e-9", ("block0.down", 32)),  # 5.2e9 and 1.03e10
+        ("1e-9", ("block0.up", 16)),
+        ("0", ("block0.up", 16)),
+    ],
+)
+def test_damp_rel_whose_condition_bound_exceeds_1e10_is_refused(
+    tmp_path, capsys, monkeypatch, damp, refused
+):
+    from maskquant import stats
+
+    factored = []
+    inverse_diag = stats.damped_inverse_diag
+    monkeypatch.setattr(
+        stats, "damped_inverse_diag", lambda sm, *a: factored.append(sm.dim) or inverse_diag(sm, *a)
+    )
+    cfg_path = _cli_config(tmp_path)
+    with cfg_path.open("a") as f:
+        f.write(f"damp_rel={damp}\n")
+    assert main(["calib", "--config", str(cfg_path)]) == 0
+    for command in ("quantize", "ablate"):
+        capsys.readouterr()
+        code = main([command, "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        if refused is None:
+            assert code == 0, err
+            continue
+        layer, width = refused
+        assert code == 2 and "Traceback" not in err
+        for part in (f"layer '{layer}'", f"{width}-wide", f"damp_rel={float(damp):g}", "1e+10"):
+            assert part in err, (part, err)
+        assert width not in factored  # refused before its gram is factored
+
+
 def test_group_width_at_the_u64_bound_quantizes(tmp_path):
     width = (1 << 64) - 1  # one ragged group per layer
     flags = ["--config", str(_cli_config(tmp_path)), "--group-width", str(width)]
@@ -1071,10 +1173,10 @@ def test_quantize_starts_no_fit_worker_on_the_readme_toy(tmp_path, monkeypatch):
     )
     model = get_model(cfg)
     names = target_layers(cfg, model)
-    moments = _calibrate(cfg, model, names, calibration_tokens(cfg, model.spec))
+    pairs = _calibrated_pairs(cfg)
     monkeypatch.setattr(daq, "_WORKERS", 1)
     monkeypatch.setattr(daq, "_pool", None)
-    _quantize(cfg, model, names, moments.get)
+    _quantize(cfg, model, names, pairs.get)
     assert daq._pool is None
 
 
@@ -1110,7 +1212,7 @@ def test_quantize_fits_same_kind_groups_in_capped_stacks(tmp_path, monkeypatch):
     )
     model = get_model(cfg)
     names = target_layers(cfg, model)
-    moments = _calibrate(cfg, model, names, calibration_tokens(cfg, model.spec))
+    pairs = _calibrated_pairs(cfg)
     stacks = []
     fit_stack = daq._fit_stack
 
@@ -1119,14 +1221,14 @@ def test_quantize_fits_same_kind_groups_in_capped_stacks(tmp_path, monkeypatch):
         return fit_stack(target, lam2, daq_cfg)
 
     monkeypatch.setattr(daq, "_fit_stack", spy)
-    records, report = _quantize(cfg, model, names, moments.get)
+    records, report = _quantize(cfg, model, names, pairs.get)
     assert max(size for size, _, _ in stacks) > 1
     assert all(size * rows * cols <= daq._MAX_STACK_WEIGHTS for size, rows, cols in stacks)
     assert sum(size for size, _, _ in stacks) == sum(len(r.groups) for r in records)
     # one group at a time gives the same packed bytes and report
     monkeypatch.setattr(daq, "_MAX_STACK_WEIGHTS", 1)
     stacks.clear()
-    alone_records, alone_report = _quantize(cfg, model, names, moments.get)
+    alone_records, alone_report = _quantize(cfg, model, names, pairs.get)
     assert {size for size, _, _ in stacks} == {1}
     write_qpk(tmp_path / "stacked.qpk", records)
     write_qpk(tmp_path / "alone.qpk", alone_records)
