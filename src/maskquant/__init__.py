@@ -20,7 +20,7 @@ from .denoiser import (
     load_model,
     save_model,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContainerError, ShapeError
 from .mcs import (
     MaskedSequence,
     McsConfig,

@@ -10,8 +10,9 @@ import argparse
 import json
 import sys
 
-from .container import ContainerError
-from .errors import ConfigError, ShapeError
+import numpy as np
+
+from .errors import ConfigError, ContainerError, ShapeError
 from .pipeline import (
     PipelineConfig,
     _read_report,
@@ -22,7 +23,6 @@ from .pipeline import (
     cmd_quantize,
     load_config,
 )
-from .qformat import QpkFormatError
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -100,41 +100,43 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "calib":
-            cfg = _config_from(args)
-            stats_dir = cmd_calib(cfg)
-            print(f"statistics written to {stats_dir}")
-        elif args.command == "quantize":
-            cfg = _config_from(args)
-            qpk_path, report = cmd_quantize(cfg)
-            print(f"packed model written to {qpk_path}")
-            _print_report_summary(report)
-        elif args.command == "eval":
-            cfg = _config_from(args)
-            report = cmd_eval(cfg)
-            _print_report_summary(report)
-            print(f"report updated at {cfg.report_path}")
-        elif args.command == "ablate":
-            cfg = _config_from(args)
-            grid = ablation_grid(cfg)
-            for arm in sorted(grid["arms"]):
-                div = grid["arms"][arm]["divergence"]
-                print(f"  {arm}: softmax_kl={div['softmax_kl']:.6g}")
-            print(f"direction_ok={grid['direction_ok']}")
-        elif args.command == "estimate-mem":
-            cfg = None
-            if args.qpk is None and args.preset is None:
+        # numpy's overflow warnings are dropped: every writer refuses a non-finite result
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "calib":
                 cfg = _config_from(args)
-            result = cmd_estimate_mem(cfg, qpk_path=args.qpk, preset=args.preset)
-            print(json.dumps(result, sort_keys=True, indent=2))
-        elif args.command == "report":
-            report = _read_report(args.report)
-            print(f"seed: {report.get('seed')}")
-            _print_report_summary(report)
+                stats_dir = cmd_calib(cfg)
+                print(f"statistics written to {stats_dir}")
+            elif args.command == "quantize":
+                cfg = _config_from(args)
+                qpk_path, report = cmd_quantize(cfg)
+                print(f"packed model written to {qpk_path}")
+                _print_report_summary(report)
+            elif args.command == "eval":
+                cfg = _config_from(args)
+                report = cmd_eval(cfg)
+                _print_report_summary(report)
+                print(f"report updated at {cfg.report_path}")
+            elif args.command == "ablate":
+                cfg = _config_from(args)
+                grid = ablation_grid(cfg)
+                for arm in sorted(grid["arms"]):
+                    div = grid["arms"][arm]["divergence"]
+                    print(f"  {arm}: softmax_kl={div['softmax_kl']:.6g}")
+                print(f"direction_ok={grid['direction_ok']}")
+            elif args.command == "estimate-mem":
+                cfg = None
+                if args.qpk is None and args.preset is None:
+                    cfg = _config_from(args)
+                result = cmd_estimate_mem(cfg, qpk_path=args.qpk, preset=args.preset)
+                print(json.dumps(result, sort_keys=True, indent=2))
+            elif args.command == "report":
+                report = _read_report(args.report)
+                print(f"seed: {report.get('seed')}")
+                _print_report_summary(report)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContainerError, QpkFormatError, OSError) as exc:
+    except (ContainerError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ShapeError as exc:

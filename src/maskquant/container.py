@@ -20,31 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ContainerError
+
 MAGIC = b"QDT1"
 _MAX_NDIM = 8
 
 _DTYPE_FOR_CODE = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<u4")}
 _CODE_FOR_KIND = {("f", 4): 0, ("f", 8): 1, ("u", 4): 2}
-
-
-class ContainerError(Exception):
-    """Malformed tensor container or unwritable tensor."""
-
-
-class BadMagicError(ContainerError):
-    """File does not start with the QDT1 magic."""
-
-
-class BadDtypeError(ContainerError):
-    """Unknown dtype code in the header."""
-
-
-class PayloadSizeError(ContainerError):
-    """Payload length disagrees with the header (truncated or trailing bytes)."""
-
-
-class NonFiniteError(ContainerError):
-    """Float tensor contains NaN or infinity."""
 
 
 def _write_atomic(path: str | os.PathLike, *chunks) -> None:
@@ -78,7 +60,7 @@ def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
     if arr.ndim < 1 or arr.ndim > _MAX_NDIM:
         raise ContainerError(f"ndim must be in [1, {_MAX_NDIM}], got {arr.ndim}")
     if arr.dtype.kind == "f" and arr.size and not np.isfinite(arr).all():
-        raise NonFiniteError("refusing to write non-finite values")
+        raise ContainerError("refusing to write non-finite values")
     header = MAGIC + struct.pack("<BI", code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
     payload = arr.astype(_DTYPE_FOR_CODE[code], copy=False)  # keeps arr's C order
@@ -91,30 +73,30 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
     with open(path, "rb") as f:
         head = f.read(9)
         if len(head) < 4 or head[:4] != MAGIC:
-            raise BadMagicError(f"{path}: not a QDT1 file")
+            raise ContainerError(f"{path}: not a QDT1 file")
         if len(head) < 9:
-            raise PayloadSizeError(f"{path}: truncated header")
+            raise ContainerError(f"{path}: truncated header")
         code, ndim = struct.unpack_from("<BI", head, 4)
         if code not in _DTYPE_FOR_CODE:
-            raise BadDtypeError(f"{path}: unknown dtype code {code}")
+            raise ContainerError(f"{path}: unknown dtype code {code}")
         if ndim < 1 or ndim > _MAX_NDIM:
-            raise PayloadSizeError(f"{path}: implausible ndim {ndim}")
+            raise ContainerError(f"{path}: implausible ndim {ndim}")
         raw_dims = f.read(8 * ndim)
         if len(raw_dims) < 8 * ndim:
-            raise PayloadSizeError(f"{path}: truncated dims")
+            raise ContainerError(f"{path}: truncated dims")
         dims = struct.unpack(f"<{ndim}Q", raw_dims)
         dtype = _DTYPE_FOR_CODE[code]
         # exact products: in 64 bits they wrap; numpy also refuses a shape whose
         # nonzero dims multiply past its index range, even when another dim is 0
         if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
-            raise PayloadSizeError(f"{path}: implausible dims {dims}")
+            raise ContainerError(f"{path}: implausible dims {dims}")
         expected = math.prod(dims) * dtype.itemsize
         payload = os.fstat(f.fileno()).st_size - f.tell()
         if payload != expected:
-            raise PayloadSizeError(f"{path}: payload is {payload} bytes, header implies {expected}")
+            raise ContainerError(f"{path}: payload is {payload} bytes, header implies {expected}")
         arr = np.empty(dims, dtype=dtype)
         if f.readinto(_bytes_view(arr)) != expected:
-            raise PayloadSizeError(f"{path}: file shrank while it was read")
+            raise ContainerError(f"{path}: file shrank while it was read")
     if dtype.kind == "f" and arr.size and not np.isfinite(arr).all():
-        raise NonFiniteError(f"{path}: non-finite values in payload")
+        raise ContainerError(f"{path}: non-finite values in payload")
     return arr

@@ -16,8 +16,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .container import ContainerError, _write_atomic, read_tensor, write_tensor
-from .errors import ShapeError
+from .container import _write_atomic, read_tensor, write_tensor
+from .errors import ContainerError, ShapeError
 from .rng import Rng
 
 MODEL_STREAM_BASE = 1 << 32

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import abmp, daq, mcs, qformat, stats
-from .container import ContainerError, _write_atomic, read_tensor
+from .container import _write_atomic, read_tensor
 from .denoiser import (
     ToyModel,
     ToyModelSpec,
@@ -32,7 +32,7 @@ from .denoiser import (
     init_model,
     load_model,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContainerError, ShapeError
 from .rng import Rng
 
 CALIB_TOKEN_STREAM = 4 << 32
@@ -574,6 +574,7 @@ def _quantize(
         layer_rows[name] = row
         if matrices is not None:
             matrices[name] = (keys, matrix)
+        del record, row, matrix, keys  # so the next layer loads and fits without them
 
     qpk_bytes = qformat.memory_estimate(qformat.describe_qpk(records))
     fp16_params = _fp16_params(model, names)
@@ -595,12 +596,14 @@ def _quantize(
 
 
 def _write_run(cfg: PipelineConfig, records: list, report: dict) -> None:
-    """Write the run's packed file, check its size against the report, then the report."""
+    """Write the run's packed file, check its size against the report, then the
+    report, which is encoded first: one that cannot be leaves both files as they were."""
+    encoded = _encode_report(cfg.report_path, report)
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     qformat.write_qpk(cfg.qpk_path, records)
     if cfg.qpk_path.stat().st_size != report["memory"]["qpk_bytes"]:
         raise AssertionError("size estimator out of sync with the encoder")
-    _write_report(cfg.report_path, report)
+    _write_atomic(cfg.report_path, encoded)
 
 
 def cmd_quantize(cfg: PipelineConfig):
@@ -621,14 +624,19 @@ def _fp16_params(model: ToyModel, quantized: list[str]) -> int:
     return total - sum(model.layers[n].size for n in quantized)
 
 
-def _write_report(path: Path, report: dict) -> None:
-    """Write `report` as JSON. A non-finite number, which JSON cannot hold,
-    raises ContainerError and leaves the file at `path` as it was."""
+def _encode_report(path: Path, report: dict) -> bytes:
+    """`report` as the JSON bytes to write to `path`. A non-finite number,
+    which JSON cannot hold, raises ContainerError."""
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         raise ContainerError(f"{path}: the report holds a non-finite number; not written") from None
-    _write_atomic(path, (text + "\n").encode())
+    return (text + "\n").encode()
+
+
+def _write_report(path: Path, report: dict) -> None:
+    """Write `report` as JSON; one that cannot be encoded leaves `path` as it was."""
+    _write_atomic(path, _encode_report(path, report))
 
 
 def _finite(text: str) -> float:
@@ -760,14 +768,17 @@ def cmd_estimate_mem(cfg: PipelineConfig | None = None, qpk_path=None, preset: s
         raise ConfigError("estimate-mem needs a config, a packed file, or a preset")
     model = get_model(cfg)
     names = target_layers(cfg, model)
+    # ABMP trades order-3 for order-1 groups one for one, and sizes are linear in order
+    order = 2 if cfg.use_abmp else cfg.order
     shapes = [
-        qformat.LayerShape.tiled(name, *model.layers[name].shape, cfg.group_width, cfg.order)
+        qformat.LayerShape.tiled(name, *model.layers[name].shape, cfg.group_width, order)
         for name in names
     ]
     fp16_params = _fp16_params(model, names)
+    orders = "ABMP orders, sized as uniform order 2" if cfg.use_abmp else f"uniform order {order}"
     return _size_report(
         "config",
-        f"{len(shapes)} quantized layers at uniform order {cfg.order}, "
+        f"{len(shapes)} quantized layers at {orders}, "
         f"group width {cfg.group_width}, {fp16_params} half-precision parameters",
         qformat.memory_estimate(shapes, fp16_params),
     )

@@ -38,7 +38,7 @@ import numpy as np
 from .abmp import partition
 from .container import _write_atomic
 from .daq import QuantizedGroup
-from .errors import ShapeError
+from .errors import ContainerError, ShapeError
 
 MAGIC = b"QPK1"
 _MAX_ORDER = 3
@@ -57,10 +57,6 @@ def _plane_words(rows: int, cols: int) -> int:
 def _group_nbytes(rows: int, cols: int, order: int) -> int:
     """Encoded size of one group: header, sign planes, alpha_r, alpha_c."""
     return _GROUP_HEADER.size + order * (8 * _plane_words(rows, cols) + 2 * (rows + cols))
-
-
-class QpkFormatError(Exception):
-    """Malformed QPK payload."""
 
 
 def _is_pm1(a: np.ndarray) -> np.ndarray:
@@ -91,10 +87,10 @@ def unpack_signs(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
     words = np.ascontiguousarray(words, dtype="<u8")
     expected = _plane_words(rows, cols)
     if words.size != expected:
-        raise QpkFormatError(f"plane has {words.size} words, expected {expected}")
+        raise ContainerError(f"plane has {words.size} words, expected {expected}")
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")
     if bits[rows * cols :].any():
-        raise QpkFormatError("nonzero padding bits in sign plane")
+        raise ContainerError("nonzero padding bits in sign plane")
     signs = bits[: rows * cols].view(np.int8)
     signs *= 2  # 0/1 -> -1/+1 in place: no wider temporary
     signs -= 1
@@ -130,7 +126,7 @@ def _half(values, what: str) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.asarray(values, dtype=np.float16)
     if not np.isfinite(half).all():
-        raise QpkFormatError(f"{what} exceed the float16 range")
+        raise ContainerError(f"{what} exceed the float16 range")
     return half
 
 
@@ -288,7 +284,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.raw):
-            raise QpkFormatError(f"{self.label}: truncated at byte {self.pos}")
+            raise ContainerError(f"{self.label}: truncated at byte {self.pos}")
         out = self.raw[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -303,10 +299,10 @@ def _read_group(rd: _Reader, name: str, rows: int, cols: int, order: int) -> Pac
     planes = np.frombuffer(body, dtype="<u8", count=order * words).reshape(order, words)
     scales = np.frombuffer(body, dtype="<f2", offset=planes.nbytes)
     if not np.isfinite(scales).all():
-        raise QpkFormatError(f"{rd.label}: non-finite scale in layer {name!r}")
+        raise ContainerError(f"{rd.label}: non-finite scale in layer {name!r}")
     pad = -(rows * cols) % 64  # the high bits of each plane's last word
     if pad and (planes[:, -1] & np.uint64(((1 << pad) - 1) << (64 - pad))).any():
-        raise QpkFormatError(f"{rd.label}: nonzero padding bits in layer {name!r}")
+        raise ContainerError(f"{rd.label}: nonzero padding bits in layer {name!r}")
     return PackedGroup(
         rows=rows,
         cols=cols,
@@ -322,37 +318,37 @@ def read_qpk(path: str | os.PathLike) -> list[QpkLayer]:
     rd = _Reader(raw, str(path))
     magic, layer_count = rd.unpack(_FILE_HEADER)
     if magic != MAGIC:
-        raise QpkFormatError(f"{path}: not a QPK1 file")
+        raise ContainerError(f"{path}: not a QPK1 file")
     layers = []
     for _ in range(layer_count):
         (name_len,) = rd.unpack(_NAME_LEN)
         try:
             name = rd.take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise QpkFormatError(f"{path}: layer name is not UTF-8 ({exc.reason})") from None
+            raise ContainerError(f"{path}: layer name is not UTF-8 ({exc.reason})") from None
         rows, cols, group_width, has_mean = rd.unpack(_LAYER_HEADER)
         if rows < 1 or cols < 1 or group_width < 1:
-            raise QpkFormatError(f"{path}: implausible shape for layer {name!r}")
+            raise ContainerError(f"{path}: implausible shape for layer {name!r}")
         row_mean = None
         if has_mean == 1:
             row_mean = np.frombuffer(rd.take(2 * rows), dtype="<f2").copy()
             if not np.isfinite(row_mean).all():
-                raise QpkFormatError(f"{path}: non-finite row mean in layer {name!r}")
+                raise ContainerError(f"{path}: non-finite row mean in layer {name!r}")
         elif has_mean != 0:
-            raise QpkFormatError(f"{path}: bad row-mean flag {has_mean}")
+            raise ContainerError(f"{path}: bad row-mean flag {has_mean}")
         (num_groups,) = rd.unpack(_GROUP_COUNT)
         groups = []
         covered = 0
         for _ in range(num_groups):
             g_cols, order = rd.unpack(_GROUP_HEADER)
             if not 1 <= order <= _MAX_ORDER:
-                raise QpkFormatError(f"{path}: bad order {order} in layer {name!r}")
+                raise ContainerError(f"{path}: bad order {order} in layer {name!r}")
             if g_cols < 1 or covered + g_cols > cols:
-                raise QpkFormatError(f"{path}: group overruns layer {name!r}")
+                raise ContainerError(f"{path}: group overruns layer {name!r}")
             groups.append(_read_group(rd, name, rows, g_cols, order))
             covered += g_cols
         if covered != cols:
-            raise QpkFormatError(f"{path}: groups cover {covered} of {cols} columns")
+            raise ContainerError(f"{path}: groups cover {covered} of {cols} columns")
         layers.append(
             QpkLayer(
                 name=name,
@@ -364,7 +360,7 @@ def read_qpk(path: str | os.PathLike) -> list[QpkLayer]:
             )
         )
     if rd.pos != len(raw):
-        raise QpkFormatError(f"{path}: {len(raw) - rd.pos} trailing bytes")
+        raise ContainerError(f"{path}: {len(raw) - rd.pos} trailing bytes")
     return layers
 
 

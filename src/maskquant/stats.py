@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import ContainerError, read_tensor, write_tensor
-from .errors import ShapeError
+from .container import read_tensor, write_tensor
+from .errors import ContainerError, ShapeError
 
 
 class SecondMoment:

@@ -337,6 +337,25 @@ def test_grid_holds_one_calibrations_moments_at_a_time(tmp_path, monkeypatch):
     assert len(alive) == 2 * 4  # the masked and the visible moments of four layers
 
 
+def test_quantize_drops_each_layers_matrix_before_the_next(tmp_path, monkeypatch):
+    import maskquant.pipeline
+
+    cfg = _cfg(tmp_path)
+    cmd_calib(cfg)
+    returned = []  # a weakref to the matrix of every layer so far
+    inner = maskquant.pipeline._quantize_layer
+
+    def spy(*args):
+        assert [ref for ref in returned if ref() is not None] == []
+        record, row, matrix, keys = inner(*args)
+        returned.append(weakref.ref(matrix))
+        return record, row, matrix, keys
+
+    monkeypatch.setattr(maskquant.pipeline, "_quantize_layer", spy)
+    cmd_quantize(cfg)
+    assert len(returned) == 4
+
+
 def test_grid_arms_match_standalone_runs(tmp_path):
     # the arms share fits, inverse diagonals and the eval reference, so
     # each must still write what a run of its config alone writes; width-4
@@ -642,8 +661,17 @@ def test_estimate_mem_modes(tmp_path):
     assert fp16["gb"] == pytest.approx(16.09, rel=0.005)
     llada = cmd_estimate_mem(preset="llada8b-2bit")
     assert 3.1 <= llada["gb"] <= 4.3
-    by_config = cmd_estimate_mem(cfg)
-    assert by_config["bytes"] > 0
+    # width-6 groups leave a ragged tail, and ratio 0.5 makes ABMP promote and demote
+    for use_abmp in (True, False):
+        for order in (1, 3):
+            sub = _cfg(tmp_path, group_width=6, ratio=0.5, use_abmp=use_abmp, order=order)
+            cmd_calib(sub)
+            _, report = cmd_quantize(sub)
+            by_config = cmd_estimate_mem(sub)
+            assert by_config["bytes"] == report["memory"]["total_bytes"], (use_abmp, order)
+            allocations = [row["allocation"] for row in report["layers"].values()]
+            used = {b for alloc in allocations for b, n in alloc.items() if n}
+            assert used == ({"1", "2", "3"} if use_abmp else {str(order)})
     with pytest.raises(ConfigError):
         cmd_estimate_mem(cfg, preset="nope")
 
@@ -745,6 +773,26 @@ def _weights_beyond_float16(tmp_path):
     cfg_path = _model_dir_run(tmp_path, scale_up)
     assert main(["calib", "--config", str(cfg_path)]) == 0
     return ["quantize", "--config", str(cfg_path)]
+
+
+def _overflowing_then(command):
+    """`command` on a saved model whose float32 forward overflows: its
+    embedding and out_proj scaled by 1e20. Eval runs calib and quantize
+    first, which pass."""
+
+    def scale_up(weights):
+        for name in ("embedding", "out_proj"):
+            path = weights / f"{name}.qdt"
+            write_tensor(path, read_tensor(path) * np.float32(1e20))
+
+    def make_args(tmp_path):
+        cfg_path = _model_dir_run(tmp_path, scale_up)
+        if command == "eval":
+            for step in ("calib", "quantize"):
+                assert main([step, "--config", str(cfg_path)]) == 0
+        return [command, "--config", str(cfg_path)]
+
+    return make_args
 
 
 def _qpk_with_infinite_scale(tmp_path):
@@ -913,6 +961,8 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
         (_qpk_with_non_utf8_name, 3),
         (_weights_beyond_float16, 3),
         (_qpk_with_infinite_scale, 3),
+        pytest.param(_overflowing_then("eval"), 3, id="eval_overflowing_forward"),
+        pytest.param(_overflowing_then("ablate"), 3, id="ablate_overflowing_forward"),
         pytest.param(_calibrated_then(_stats_from_before_digests), 2, id="stats_without_digests"),
         pytest.param(
             _calibrated_then(
@@ -1017,6 +1067,12 @@ def test_cli_bad_inputs_exit_with_one_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_ablate_arm_whose_report_is_refused_writes_neither_file(tmp_path, capsys):
+    assert main(_overflowing_then("ablate")(tmp_path)) == 3
+    assert "report holds a non-finite number" in capsys.readouterr().err
+    assert not list((tmp_path / "cli").glob("arms/*/model.qpk"))
 
 
 def test_quantize_reads_each_layers_statistics_when_it_reaches_it(tmp_path, capsys, monkeypatch):

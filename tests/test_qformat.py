@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from maskquant import qformat
 from maskquant.cli import main
 from maskquant.daq import DaqConfig, QuantizedGroup, RCBinaryOrder, center_rows, daq_fit
-from maskquant.errors import ShapeError
+from maskquant.errors import ContainerError, ShapeError
 from maskquant.qformat import (
     LayerShape,
-    QpkFormatError,
     build_layer,
     dequantize,
     describe_qpk,
@@ -139,7 +138,7 @@ def test_pack_keeps_isin_for_other_dtypes():
 def test_unpack_rejects_nonzero_padding():
     words = pack_signs(np.array([[-1]], dtype=np.int8))
     words[0] |= 1 << 5  # pad bit
-    with pytest.raises(QpkFormatError):
+    with pytest.raises(ContainerError, match="nonzero padding bits"):
         unpack_signs(words, 1, 1)
 
 
@@ -195,11 +194,11 @@ def test_qpk_corruption_detected(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[0] = ord("X")
     path.write_bytes(bytes(raw))
-    with pytest.raises(QpkFormatError):
+    with pytest.raises(ContainerError, match="not a QPK1 file"):
         read_qpk(path)
     write_qpk(path, [_fit_layer("a", 8, 16, seed=8)])
     path.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(QpkFormatError):
+    with pytest.raises(ContainerError, match="truncated at byte"):
         read_qpk(path)
 
 
@@ -211,7 +210,7 @@ def test_read_qpk_refuses_a_pad_bit_in_a_later_plane(tmp_path, rows, cols, bit):
     layer.groups[0].planes[1, -1] |= np.uint64(1 << bit)
     path = tmp_path / "m.qpk"
     write_qpk(path, [layer])
-    with pytest.raises(QpkFormatError, match="padding"):
+    with pytest.raises(ContainerError, match="padding"):
         read_qpk(path)
 
 
@@ -490,10 +489,10 @@ def test_build_layer_rejects_values_beyond_float16():
     group = daq_fit(np.ones((4, 6), dtype=np.float32), cfg=DaqConfig(order=1))
     layer = build_layer("w", [group], 6, 6, np.full(4, 65519.0))  # rounds to the finite max
     assert (layer.row_mean == np.float16(65504)).all()
-    with pytest.raises(QpkFormatError, match="'w': row means"):
+    with pytest.raises(ContainerError, match="'w': row means"):
         build_layer("w", [group], 6, 6, np.full(4, 65520.0))
     huge = daq_fit(np.full((4, 6), 1e10, dtype=np.float32), cfg=DaqConfig(order=1))
-    with pytest.raises(QpkFormatError, match="'w'.*float16"):
+    with pytest.raises(ContainerError, match="'w'.*float16"):
         build_layer("w", [huge], 6, 6)
 
 
@@ -508,7 +507,7 @@ def test_read_rejects_non_finite_halves(tmp_path, where, value):
     at = 36 if where == "row_mean" else len(raw) - 2
     raw[at : at + 2] = np.float16(value).astype("<f2").tobytes()
     path.write_bytes(bytes(raw))
-    with pytest.raises(QpkFormatError, match="non-finite"):
+    with pytest.raises(ContainerError, match="non-finite"):
         read_qpk(path)
 
 
@@ -533,5 +532,5 @@ def test_read_qpk_damaged_bytes_raise_only_format_errors(valid_qpk, data):
     path.write_bytes(bytes(raw if cut is None else raw[:cut]))
     try:
         read_qpk(path)
-    except QpkFormatError:
+    except ContainerError:
         pass
