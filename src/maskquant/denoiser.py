@@ -217,6 +217,7 @@ def eval_divergence(
 
 
 _MANIFEST = "manifest.txt"
+_SPEC_INTS = ("vocab", "d_model", "d_hidden", "n_blocks", "seq_len", "seed")  # manifest keys
 
 
 def save_model(model: ToyModel, dir_path: str | os.PathLike) -> None:
@@ -224,15 +225,8 @@ def save_model(model: ToyModel, dir_path: str | os.PathLike) -> None:
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
     spec = model.spec
-    lines = [
-        f"vocab={spec.vocab}",
-        f"d_model={spec.d_model}",
-        f"d_hidden={spec.d_hidden}",
-        f"n_blocks={spec.n_blocks}",
-        f"seq_len={spec.seq_len}",
-        f"seed={spec.seed}",
-        f"positional={'true' if spec.positional else 'false'}",
-    ]
+    lines = [f"{key}={getattr(spec, key)}" for key in _SPEC_INTS]
+    lines.append(f"positional={'true' if spec.positional else 'false'}")
     tensors = {"embedding": model.embedding, **model.layers}
     if model.positional is not None:
         tensors["positional"] = model.positional
@@ -245,8 +239,9 @@ def save_model(model: ToyModel, dir_path: str | os.PathLike) -> None:
 
 def load_model(dir_path: str | os.PathLike) -> ToyModel:
     """Inverse of :func:`save_model`. A manifest that does not describe a
-    valid model raises ContainerError; a tensor whose shape disagrees with
-    the manifest raises ShapeError."""
+    valid model, and a tensor that is not floating point or whose values
+    overflow float32, raise ContainerError; a tensor whose shape disagrees
+    with the manifest raises ShapeError."""
     root = Path(dir_path)
     manifest = root / _MANIFEST
     meta: dict[str, str] = {}
@@ -269,15 +264,15 @@ def load_model(dir_path: str | os.PathLike) -> ToyModel:
             meta[key] = value
         else:
             raise ContainerError(f"{manifest}:{lineno}: expected key=value or name<TAB>file")
-    ints = ("vocab", "d_model", "d_hidden", "n_blocks", "seq_len", "seed")
-    missing = [key for key in ints if key not in meta]
+    missing = [key for key in _SPEC_INTS if key not in meta]
     if missing:
         raise ContainerError(f"{manifest}: missing {', '.join(missing)}")
     positional = meta.get("positional", "false")
     if positional not in ("true", "false"):
         raise ContainerError(f"{manifest}: positional must be true or false, got {positional!r}")
     try:
-        spec = ToyModelSpec(**{key: int(meta[key]) for key in ints}, positional=positional == "true")
+        ints = {key: int(meta[key]) for key in _SPEC_INTS}
+        spec = ToyModelSpec(**ints, positional=positional == "true")
     except ValueError as exc:
         raise ContainerError(f"{manifest}: {exc}") from None
     shapes = _tensor_shapes(spec)
@@ -289,8 +284,14 @@ def load_model(dir_path: str | os.PathLike) -> ToyModel:
         raise ContainerError(f"{manifest}: unexpected entries {', '.join(unknown)}")
     tensors = {}
     for name, shape in shapes.items():
-        arr = read_tensor(root / tensor_files[name])
+        path = root / tensor_files[name]
+        arr = read_tensor(path)
         if arr.shape != shape:
             raise ShapeError(f"{name}: tensor has shape {arr.shape}, the manifest implies {shape}")
-        tensors[name] = arr.astype(np.float32)
+        if arr.dtype.kind != "f":
+            raise ContainerError(f"{path}: {name} holds {arr.dtype} values, not floating point")
+        with np.errstate(over="ignore"):
+            tensors[name] = arr.astype(np.float32)
+        if not np.isfinite(tensors[name]).all():
+            raise ContainerError(f"{path}: {name} holds values beyond the float32 range")
     return _assemble(spec, tensors)

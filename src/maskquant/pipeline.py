@@ -313,12 +313,8 @@ def _file_sha256(path: Path) -> str:
         return hashlib.file_digest(f, "sha256").hexdigest()
 
 
-def _weights_sha256(model: ToyModel, tokens: np.ndarray | None = None):
-    """sha256 over the model weights, then the tokens when given; each array
-    enters with its name, dtype and shape."""
-    h = hashlib.sha256()
-    named = {"embedding": model.embedding, **model.layers, "positional": model.positional}
-    named["tokens"] = tokens
+def _hash_arrays(h, named: dict):
+    """`h` fed each array of `named` but None, after its name, dtype and shape."""
     for name, arr in named.items():
         if arr is not None:
             h.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
@@ -326,10 +322,18 @@ def _weights_sha256(model: ToyModel, tokens: np.ndarray | None = None):
     return h
 
 
-def _calib_fingerprint(cfg: PipelineConfig, model: ToyModel, tokens: np.ndarray) -> str:
+def _weights_sha256(model: ToyModel):
+    """sha256 over the model weights, taken once per command: each statistics
+    fingerprint extends a copy of it."""
+    named = {"embedding": model.embedding, **model.layers, "positional": model.positional}
+    return _hash_arrays(hashlib.sha256(), named)
+
+
+def _calib_fingerprint(cfg: PipelineConfig, weights, tokens: np.ndarray) -> str:
     """sha256 over everything the statistics depend on: the model weights,
-    the calibration tokens and the masking settings."""
-    h = _weights_sha256(model, tokens)
+    whose _weights_sha256 is `weights`, the calibration tokens and the
+    masking settings."""
+    h = _hash_arrays(weights.copy(), {"tokens": tokens})
     masking = {"use_mcs": cfg.use_mcs}
     if cfg.use_mcs:
         masking.update(timesteps=cfg.timesteps, prefix_ratio=cfg.prefix_ratio, seed=cfg.seed)
@@ -364,7 +368,7 @@ def cmd_calib(cfg: PipelineConfig) -> Path:
     cfg.stats_dir.mkdir(parents=True, exist_ok=True)
     manifest = cfg.stats_dir / _FINGERPRINT
     manifest.unlink(missing_ok=True)  # a half-rewritten directory matches nothing
-    lines = [_calib_fingerprint(cfg, model, tokens)]
+    lines = [_calib_fingerprint(cfg, _weights_sha256(model), tokens)]
     for name, sm in moments.items():
         path = _stats_path(cfg, name)
         stats.save_second_moment(sm, path)
@@ -373,14 +377,15 @@ def cmd_calib(cfg: PipelineConfig) -> Path:
     return cfg.stats_dir
 
 
-def _stats_reader(cfg: PipelineConfig, model: ToyModel, names: list[str]):
+def _stats_reader(cfg: PipelineConfig, model: ToyModel, names: list[str], weights):
     """A reader of each named layer's second moment from its statistics
     file, returned once every file exists and the manifest shows that `calib`
-    accumulated them from this config's model, calibration tokens and masking
-    settings and records each file's sha256. A file is read only when its
-    layer is quantized, so quantize holds one gram at a time; it is parsed,
-    its bytes are checked against the recorded sha256, and the reader
-    returns it with its damped inverse diagonal (see _with_inverse_diag)."""
+    accumulated them from this config's model (whose _weights_sha256 is
+    `weights`), calibration tokens and masking settings and records each
+    file's sha256. A file is read only when its layer is quantized, so
+    quantize holds one gram at a time; it is parsed, its bytes are checked
+    against the recorded sha256, and the reader returns it with its damped
+    inverse diagonal (see _with_inverse_diag)."""
     paths = {name: _stats_path(cfg, name) for name in names}
     for name, path in paths.items():
         if not path.exists():
@@ -391,7 +396,7 @@ def _stats_reader(cfg: PipelineConfig, model: ToyModel, names: list[str]):
     if not manifest.exists():
         raise ConfigError(f"{manifest} is missing; rerun calib with this config")
     lines = manifest.read_bytes().split(b"\n")
-    expected = _calib_fingerprint(cfg, model, calibration_tokens(cfg, model.spec))
+    expected = _calib_fingerprint(cfg, weights, calibration_tokens(cfg, model.spec))
     if lines[0] != expected.encode():
         raise ConfigError(
             f"statistics in {cfg.stats_dir} were calibrated with another model, other "
@@ -443,19 +448,16 @@ def _with_inverse_diag(name: str, sm: stats.SecondMoment, damp_rel: float, error
 
 @dataclass(frozen=True)
 class _Fit:
-    """What a quantize keeps of one group's fit: the packed group, its float32
-    reconstruction block (without the row mean; see qformat._group_block) and
-    the first and last entries of its loss history."""
+    """What a quantize keeps of one group's fit: the packed group and the
+    first and last entries of its loss history."""
 
     packed: qformat.PackedGroup
-    block: np.ndarray
     loss_init: float
     loss_final: float
 
 
 def _keep(fit: daq.QuantizedGroup, name: str) -> _Fit:
-    packed = qformat.pack_group(fit, name)
-    return _Fit(packed, qformat._group_block(packed), fit.loss_history[0], fit.loss_history[-1])
+    return _Fit(qformat.pack_group(fit, name), fit.loss_history[0], fit.loss_history[-1])
 
 
 def _quantize_layer(name: str, weights: np.ndarray, moment, cfg: PipelineConfig, fits: dict):
@@ -463,9 +465,9 @@ def _quantize_layer(name: str, weights: np.ndarray, moment, cfg: PipelineConfig,
     inverse diagonal (None for a config that uses neither), reusing and
     adding to `fits`, which maps (layer, column range, DaqConfig, weight-mask
     key or None) to a _Fit. Returns its packed record, its report row, its
-    float32 reconstruction (bit for bit qformat.dequantize of the record) and
-    its fit keys, which name everything that reconstruction depends on
-    besides the model."""
+    float32 reconstruction (qformat.dequantize of the record) and its fit
+    keys, which name everything that reconstruction depends on besides the
+    model."""
     rows, cols = weights.shape
     sm, inv_diag = moment or (None, None)
     importance = None
@@ -519,7 +521,7 @@ def _quantize_layer(name: str, weights: np.ndarray, moment, cfg: PipelineConfig,
         loss_final += fit.loss_final
 
     record = qformat._layer_record(name, [fit.packed for fit in groups], cfg.group_width, cols, mu)
-    matrix = qformat._assemble([fit.block for fit in groups], record.row_mean)
+    matrix = qformat.dequantize(record)
 
     full_orders = [
         order
@@ -549,6 +551,7 @@ def _quantize(
     model: ToyModel,
     names: list[str],
     moment,
+    model_sha256: str,
     fits: dict | None = None,
     matrices: dict | None = None,
 ):
@@ -582,7 +585,7 @@ def _quantize(
     report = {
         "seed": cfg.seed,
         "config": dataclasses.asdict(cfg),
-        "model_sha256": _weights_sha256(model).hexdigest(),
+        "model_sha256": model_sha256,
         "layers": layer_rows,
         "memory": {
             "qpk_bytes": qpk_bytes,
@@ -610,8 +613,10 @@ def cmd_quantize(cfg: PipelineConfig):
     """Quantize every targeted layer; writes the packed file and the report."""
     model = get_model(cfg)
     names = target_layers(cfg, model)
-    moment = _stats_reader(cfg, model, names) if (cfg.use_dor or cfg.use_abmp) else {}.get
-    records, report = _quantize(cfg, model, names, moment)
+    weights = _weights_sha256(model)
+    use_stats = cfg.use_dor or cfg.use_abmp
+    moment = _stats_reader(cfg, model, names, weights) if use_stats else {}.get
+    records, report = _quantize(cfg, model, names, moment, weights.hexdigest())
     _write_run(cfg, records, report)
     return cfg.qpk_path, report
 
@@ -710,7 +715,8 @@ def _evaluate(
 
 
 def cmd_eval(cfg: PipelineConfig) -> dict:
-    """Score the run's own packed model and record the result in its report."""
+    """Score the run's own packed model, refusing one whose layers or size
+    differ from its report's, and record the result in its report."""
     if not cfg.report_path.exists():
         raise FileNotFoundError(f"{cfg.report_path} not found; run quantize first")
     report = _read_report(cfg.report_path)
@@ -721,7 +727,18 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
             f"{cfg.report_path} belongs to a model quantized from other weights than "
             "this config's; rerun quantize with this config"
         )
-    overrides = {layer.name: qformat.dequantize(layer) for layer in qformat.read_qpk(cfg.qpk_path)}
+    layers = qformat.read_qpk(cfg.qpk_path)
+    packed = sorted((layer.name, layer.rows, layer.cols) for layer in layers)
+    layer_rows = report.get("layers", {})
+    described = sorted((name, row["rows"], row["cols"]) for name, row in layer_rows.items())
+    memory = report.get("memory")
+    size = cfg.qpk_path.stat().st_size
+    if packed != described or (memory is not None and memory["qpk_bytes"] != size):
+        raise ConfigError(
+            f"{cfg.qpk_path} is not the packed model that {cfg.report_path} describes; "
+            "rerun quantize with this config"
+        )
+    overrides = {layer.name: qformat.dequantize(layer) for layer in layers}
     report["eval"] = _evaluate(cfg, model, overrides)
     _write_report(cfg.report_path, report)
     return report
@@ -794,9 +811,9 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     uniform arm (no saliency weighting, no mixed precision), and a
     reallocation-ratio sweep. Arms with one statistics fingerprint share one
     calibration, kept in memory, and its inverse diagonals; all arms share
-    the DAQ fits, each packed and reconstructed once, the eval set and its
-    full-precision logits. Arms whose layers have the same fit keys have the
-    same layers, and share one eval row.
+    the DAQ fits, each packed once, the eval set and its full-precision
+    logits. Each arm dequantizes its layers once; arms whose layers have the
+    same fit keys have the same layers, and share one eval row.
     Also records whether the full pipeline beat the plain uniform arm on
     held-out divergence; small-model runs are not guaranteed to preserve
     that ordering, so a violation is flagged rather than fatal.
@@ -817,12 +834,15 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
     # the arms override no field the eval set depends on
     eval_set = _eval_set(cfg, model.spec)
     reference = list(_reference_logits(model, eval_set))
+    weights = _weights_sha256(model)
+    model_sha256 = weights.hexdigest()
     fits = {}  # every arm's fits: see _quantize_layer
     scored = {}  # the fit keys of an arm's layers -> its eval row
     plan = []  # (statistics fingerprint, "" for an arm that uses none; arm; its config)
     for arm, override in arms.items():
         sub = dataclasses.replace(cfg, out_dir=str(Path(cfg.out_dir) / "arms" / arm), **override)
-        stats_key = _calib_fingerprint(sub, model, tokens) if (sub.use_dor or sub.use_abmp) else ""
+        use_stats = sub.use_dor or sub.use_abmp
+        stats_key = _calib_fingerprint(sub, weights, tokens) if use_stats else ""
         plan.append((stats_key, arm, sub))
     results = {}
     current = None
@@ -837,7 +857,7 @@ def ablation_grid(cfg: PipelineConfig) -> dict:
                     for name, sm in _calibrate(sub, model, names, tokens).items()
                 }
         matrices = {}
-        records, report = _quantize(sub, model, names, pairs.get, fits, matrices)
+        records, report = _quantize(sub, model, names, pairs.get, model_sha256, fits, matrices)
         eval_key = tuple(keys for keys, _ in matrices.values())
         if eval_key not in scored:
             overrides = {name: matrix for name, (_, matrix) in matrices.items()}

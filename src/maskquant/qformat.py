@@ -173,39 +173,24 @@ def _layer_record(
         mean16 = _half(row_mean, f"layer {name!r}: row means")
         if mean16.shape != (rows,):
             raise ShapeError(f"row_mean shape {mean16.shape}, expected ({rows},)")
-    return QpkLayer(
-        name=name,
-        rows=rows,
-        cols=cols,
-        group_width=group_width,
-        row_mean=mean16,
-        groups=list(groups),
-    )
-
-
-def _group_block(g: PackedGroup) -> np.ndarray:
-    """The group's float32 reconstruction, without the layer's row mean: its
-    terms summed in order onto zeros, so no entry is -0.0."""
-    block = np.zeros((g.rows, g.cols), dtype=np.float32)
-    for k in range(g.order):
-        signs = unpack_signs(g.planes[k], g.rows, g.cols)
-        block += np.outer(g.alpha_r[k].astype(np.float32), g.alpha_c[k].astype(np.float32)) * signs
-    return block
-
-
-def _assemble(blocks: Sequence[np.ndarray], row_mean: np.ndarray | None) -> np.ndarray:
-    """A layer's float32 reconstruction from its groups' blocks, in column
-    order, plus its stored float16 row mean. A new array: the blocks are not
-    changed."""
-    out = np.concatenate(blocks, axis=1)
-    if row_mean is not None:
-        out += row_mean.astype(np.float32)[:, None]
-    return out
+    return QpkLayer(name, rows, cols, group_width, mean16, list(groups))
 
 
 def dequantize(layer: QpkLayer) -> np.ndarray:
-    """Full layer reconstruction in float32, including the stored row mean."""
-    return _assemble([_group_block(g) for g in layer.groups], layer.row_mean)
+    """Full layer reconstruction in float32, including the stored row mean:
+    each group's terms are added in order, in place, onto one zero layer, so
+    no entry is -0.0."""
+    out = np.zeros((layer.rows, layer.cols), dtype=np.float32)
+    start = 0
+    for g in layer.groups:
+        block = out[:, start : start + g.cols]
+        for k in range(g.order):
+            alpha_r, alpha_c = g.alpha_r[k].astype(np.float32), g.alpha_c[k].astype(np.float32)
+            block += np.outer(alpha_r, alpha_c) * unpack_signs(g.planes[k], g.rows, g.cols)
+        start += g.cols
+    if layer.row_mean is not None:
+        out += layer.row_mean.astype(np.float32)[:, None]
+    return out
 
 
 # _BITS[p, b] is the sign that bit b (LSB first) of byte p stands for
@@ -349,16 +334,7 @@ def read_qpk(path: str | os.PathLike) -> list[QpkLayer]:
             covered += g_cols
         if covered != cols:
             raise ContainerError(f"{path}: groups cover {covered} of {cols} columns")
-        layers.append(
-            QpkLayer(
-                name=name,
-                rows=rows,
-                cols=cols,
-                group_width=group_width,
-                row_mean=row_mean,
-                groups=groups,
-            )
-        )
+        layers.append(QpkLayer(name, rows, cols, group_width, row_mean, groups))
     if rd.pos != len(raw):
         raise ContainerError(f"{path}: {len(raw) - rd.pos} trailing bytes")
     return layers

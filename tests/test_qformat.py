@@ -457,7 +457,7 @@ def _dequantize_oracle(layer):
 
 
 @pytest.mark.parametrize("with_mean", [False, True])
-def test_layer_from_group_blocks_is_dequantize_bit_for_bit(with_mean):
+def test_dequantize_is_the_oracle_bit_for_bit(with_mean):
     rng = np.random.default_rng(5)
     rows = 12
     fits = []
@@ -471,18 +471,16 @@ def test_layer_from_group_blocks_is_dequantize_bit_for_bit(with_mean):
             for _ in range(order)
         ]
         fits.append(QuantizedGroup(orders=terms))
-    # a zero row scale times -1 signs is -0.0; both paths must store +0.0 there
+    # a zero row scale times -1 signs is -0.0; dequantize must store +0.0 there
     fits[0].orders[0].alpha_r[0] = 0.0
     fits[0].orders[0].signs[0] = -1
     mean = rng.standard_normal(rows).astype(np.float32) if with_mean else None
     record = build_layer("w", fits, 8, 29, mean)
-    blocks = [qformat._group_block(qformat.pack_group(fit, "w")) for fit in fits]
-    kept = [block.copy() for block in blocks]
-    assembled = qformat._assemble(blocks, record.row_mean)
-    assert assembled.dtype == np.float32 and assembled.shape == (rows, 29)
-    assert assembled.tobytes() == dequantize(record).tobytes()
-    assert assembled.tobytes() == _dequantize_oracle(record).tobytes()
-    assert all(np.array_equal(a, b) for a, b in zip(blocks, kept))  # blocks are not changed
+    matrix = dequantize(record)
+    assert matrix.dtype == np.float32 and matrix.shape == (rows, 29)
+    assert matrix.tobytes() == _dequantize_oracle(record).tobytes()
+    if not with_mean:
+        assert not np.signbit(matrix[0, :8]).any()  # the zero row scale's row of group 0
 
 
 def test_build_layer_rejects_values_beyond_float16():
