@@ -32,7 +32,9 @@ import numpy as np
 
 from .errors import ShapeError
 
-_MAX_STACK_WEIGHTS = 1 << 16  # weights fitted as one stack: bounds the temporaries of a wide layer
+# weights fitted as one stack, and the most that one elementwise pass of a fit
+# touches at once: a larger group runs alone, in row tiles of at most this many
+_MAX_STACK_WEIGHTS = 1 << 16
 # threads that fit stacks beside the caller, one per further core the process
 # may use; they start with the first call that has a stack to hand them, and
 # live as long as the process, so each keeps one malloc arena, not one per call
@@ -120,20 +122,15 @@ def _outer(alpha_r: np.ndarray, alpha_c: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(alpha_r[..., :, None], alpha_c[..., None, :], out=out)
 
 
-def _weighted_sq(diff: np.ndarray, lam2: np.ndarray | None) -> np.ndarray:
-    """Each group's (weighted) sum of squares: (G, rows, cols) -> (G,)."""
-    sq = diff * diff if lam2 is None else lam2 * diff * diff
-    return sq.reshape(len(sq), -1).sum(axis=1)
-
-
-def _sum_terms(terms: np.ndarray, skip: int | None = None) -> np.ndarray:
-    """The sum of the terms but `skip`, accumulated from zero in term order
-    (the order fixes the last bits, and so the bytes, of a fit)."""
-    total = np.zeros(terms.shape[1:])
-    for q, term in enumerate(terms):
+def _residual(target, planes, signs, out, skip: int | None = None) -> np.ndarray:
+    """`target` less the sum of the terms planes[q] * signs[q] but `skip`,
+    written to `out`. The sum runs from zero in term order (the order fixes
+    the last bits, and so the bytes, of a fit)."""
+    out.fill(0.0)
+    for q in range(len(planes)):
         if q != skip:
-            total += term
-    return total
+            out += planes[q] * signs[q]
+    return np.subtract(target, out, out=out)
 
 
 def center_rows(w) -> tuple[np.ndarray, np.ndarray]:
@@ -158,9 +155,11 @@ def _rc_init(x: np.ndarray):
     return alpha_r, alpha_c, signs
 
 
-def _weighted_product(x, signs, lam2) -> np.ndarray:
+def _weighted_product(x, signs, lam2, out=None) -> np.ndarray:
     """lam2 * x * signs, or x * signs when unweighted: what a scale refit projects."""
-    return x * signs if lam2 is None else lam2 * x * signs
+    if lam2 is not None:
+        x = np.multiply(lam2, x, out=out)
+    return np.multiply(x, signs, out=out)
 
 
 def _row_scales(prod, lam2, scales, epsilon: float) -> np.ndarray:
@@ -296,36 +295,58 @@ def _fit_stack(
     """daq_fit of each matrix of the stack `target` (G, rows, cols) against
     the squared weight masks `lam2` (the same shape, or None). A group that
     stops stays in the stack, frozen: each later sweep of it is undone, so
-    each keeps its own tolerance stop, sweep limit and rollback."""
+    each keeps its own tolerance stop, sweep limit and rollback.
+
+    Term q is planes[q] * signs[q], formed where it is needed. Residuals,
+    weighted products, the sign search and squared errors run over row tiles
+    of at most _MAX_STACK_WEIGHTS weights, into one stack-sized work buffer;
+    the scale refits and loss sums read the whole buffer, so each reduction
+    runs in the order of an untiled fit."""
     order = cfg.order
     size, rows, cols = target.shape
-    terms = np.empty((order, size, rows, cols))  # outer(alpha_r, alpha_c) * signs of each term
-    signs = np.empty(terms.shape, dtype=np.int8)  # an int8 sign scales a float64 exactly
+    planes = np.empty((order, size, rows, cols))  # outer(alpha_r, alpha_c) of each term
+    signs = np.empty(planes.shape, dtype=np.int8)  # an int8 sign scales a float64 exactly
     ar = np.empty((order, size, rows))
     ac = np.empty((order, size, cols))
-    for k in range(order):
-        ar[k], ac[k], signs[k] = _rc_init(target - _sum_terms(terms[:k]))
-        np.multiply(_outer(ar[k], ac[k]), signs[k], out=terms[k])
+    work = np.empty_like(target)
+    step = max(1, _MAX_STACK_WEIGHTS // (size * cols))
+    tiles = [np.s_[..., r : r + step, :] for r in range(0, rows, step)]
 
-    histories = [[loss] for loss in _weighted_sq(target - _sum_terms(terms), lam2).tolist()]
+    def loss() -> np.ndarray:
+        for t in tiles:
+            diff = _residual(target[t], planes[t], signs[t], work[t])
+            work[t] = diff * diff if lam2 is None else lam2[t] * diff * diff
+        return work.reshape(size, -1).sum(axis=1)
+
+    for k in range(order):
+        for t in tiles:
+            _residual(target[t], planes[:k][t], signs[:k][t], work[t])
+        ar[k], ac[k], signs[k] = _rc_init(work)
+        _outer(ar[k], ac[k], out=planes[k])
+
+    histories = [[value] for value in loss().tolist()]
     done = np.zeros(size, dtype=bool)
     for _ in range(cfg.sweeps):
         saved = ar.copy(), ac.copy(), signs
-        planes = np.empty_like(terms)  # outer(alpha_r, alpha_c) of each term
         for k in range(order):
-            prod = _weighted_product(target - _sum_terms(terms, skip=k), signs[k], lam2)
-            ar[k] = _row_scales(prod, lam2, ac[k], cfg.epsilon)
-            ac[k] = _col_scales(prod, lam2, ar[k], cfg.epsilon)
-            np.multiply(_outer(ar[k], ac[k], out=planes[k]), signs[k], out=terms[k])
-        signs = _sign_search(target, planes)
-        np.multiply(planes, signs, out=terms)
-        cur = _weighted_sq(target - _sum_terms(terms), lam2)
+            for t in tiles:
+                x = _residual(target[t], planes[t], signs[t], work[t], skip=k)
+                _weighted_product(x, signs[k][t], None if lam2 is None else lam2[t], out=x)
+            ar[k] = _row_scales(work, lam2, ac[k], cfg.epsilon)
+            ac[k] = _col_scales(work, lam2, ar[k], cfg.epsilon)
+            _outer(ar[k], ac[k], out=planes[k])
+        signs = np.empty_like(signs)
+        for t in tiles:
+            signs[t] = _sign_search(target[t], planes[t])
+        cur = loss()
         prev = np.array([history[-1] for history in histories])
-        # a sweep that raised the loss is undone, as is any sweep of a stopped group
+        # a sweep that raised the loss is undone, as is any sweep of a stopped
+        # group; an undone group's planes are left as the sweep made them,
+        # since it is stopped and its later sweeps are undone too
         undo = done | (cur > prev)
-        for history, loss, skip in zip(histories, cur.tolist(), undo):
+        for history, value, skip in zip(histories, cur.tolist(), undo):
             if not skip:
-                history.append(loss)
+                history.append(value)
         ar[:, undo], ac[:, undo], signs[:, undo] = (s[:, undo] for s in saved)
         gain = np.divide(prev - cur, prev, out=np.zeros_like(prev), where=prev > 0)
         done |= undo | (prev <= 0.0) | (gain < cfg.tol)

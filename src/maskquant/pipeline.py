@@ -49,6 +49,7 @@ _MAX_DAMP_REL = 1e6
 # diagonal is within 2e-6 of an eigh oracle at 1e10, and only within 1e-1 at 1e15
 _MAX_CONDITION = 1e10
 _MAX_GROUP_WIDTH = (1 << 64) - 1  # QPK1 stores the group width as a u64
+_MAX_SEED = (1 << 64) - 1  # Rng keeps a seed's low 64 bits, so a larger one repeats a smaller
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,8 @@ class PipelineConfig:
             raise ConfigError("ratio must be in [0, 0.5]")
         if not 1 <= self.group_width <= _MAX_GROUP_WIDTH:
             raise ConfigError(f"group_width must be in [1, {_MAX_GROUP_WIDTH}]")
+        if not 0 <= self.seed <= _MAX_SEED:
+            raise ConfigError(f"seed must be in [0, {_MAX_SEED}]")
         if not 1.0 < self.lambda_weight <= _MAX_LAMBDA_WEIGHT:
             raise ConfigError(f"lambda_weight must be in (1, {_MAX_LAMBDA_WEIGHT:g}]")
         if not 0.0 <= self.damp_rel <= _MAX_DAMP_REL:
@@ -680,6 +683,8 @@ def _read_report(path) -> dict:
         raise ContainerError(f"{path}: not a JSON report: {exc}") from None
     except ValueError as exc:  # from _finite
         raise ContainerError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ContainerError(f"{path}: not a JSON report: nested too deeply") from None
     if not isinstance(report, dict):
         raise ContainerError(f"{path}: a report is a JSON object, not {type(report).__name__}")
     layers = report.get("layers", {})

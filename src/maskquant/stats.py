@@ -17,6 +17,9 @@ from .container import read_tensor, write_tensor
 from .errors import ContainerError, ShapeError
 
 
+_PANEL_ROWS = 128  # gram rows updated per product: 1 MB of float64 at width 1024
+
+
 class SecondMoment:
     """Running gram accumulation over token columns, kept in float64.
 
@@ -26,6 +29,14 @@ class SecondMoment:
     Calibration folds 512-token blocks of sequences, so its grams differ in
     the last bits from a fold of one sequence at a time (at most 3.4e-15
     relative to the largest entry on the README toy and benchmark configs).
+
+    A block is added in row panels of _PANEL_ROWS: each panel's products go
+    into the upper triangle in place, and its off-diagonal block is mirrored
+    below, so the gram stays exactly symmetric and no gram-sized temporary is
+    made. At a width of at most _PANEL_ROWS or divisible by 8, OpenBLAS's
+    panel products equal its syrk of the whole block bit for bit, so the gram
+    is that of a fold of `gram += x @ x.T`; at other widths its edge kernels
+    sum a few entries in another order, which moves their last bits.
 
     `count` tallies the token columns accumulated in this process; a moment
     loaded from a file has `count` None, because the file does not record it.
@@ -49,7 +60,11 @@ class SecondMoment:
                 f"activation block has shape {inputs.shape}, expected ({self.dim}, *)"
             )
         x = inputs.astype(np.float64, copy=False)
-        self.gram += x @ x.T
+        gram = self.gram
+        for i in range(0, self.dim, _PANEL_ROWS):
+            j = i + _PANEL_ROWS
+            gram[i:j, i:] += x[i:j] @ x[i:].T
+            gram[j:, i:j] = gram[i:j, j:].T
         self.count += inputs.shape[1]
 
 

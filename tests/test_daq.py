@@ -2,6 +2,7 @@
 
 import itertools
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -518,6 +519,36 @@ def test_stacked_fit_keeps_each_groups_stop(cfg, blocks, sweeps):
     assert [len(fit.loss_history) - 1 for fit in fits] == sweeps
     for fit, w in zip(fits, blocks):
         _assert_same_as_oracle(fit, w, None, cfg)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_row_tiles_keep_every_bit(order, weighted):
+    # at a bound of 80 weights each 37x16 group runs alone, in 7 tiles of 5
+    # rows and a ragged one of 2; at the default all three run as one stack
+    blocks = [_gauss((37, 16), seed=40 + g) for g in range(3)]
+    lams = None
+    if weighted:
+        lams = [np.where(_gauss((37, 16), seed=40 + g, stream=1) > 1.0, 2.5, 1.0) for g in range(3)]
+    cfg = DaqConfig(order=order, sweeps=6, tol=0.0)
+    whole = _fit_bytes(daq._fit_groups(blocks, lams, cfg))
+    with mock.patch.object(daq, "_MAX_STACK_WEIGHTS", 5 * 16):
+        assert _fit_bytes(daq._fit_groups(blocks, lams, cfg)) == whole
+
+
+@pytest.mark.parametrize("order, bound", [(2, 8), (3, 10)])
+def test_fit_stack_memory_is_bounded(order, bound):
+    # planes, the work buffer and the signs are whole-stack arrays; the
+    # elementwise passes of a 1024x128 group run in two tiles of 512 rows
+    target = _gauss((1, 1024, 128), seed=5)
+    lam2 = np.where(_gauss((1, 1024, 128), seed=5, stream=1) > 1.0, 6.25, 1.0)
+    tracemalloc.start()
+    try:
+        daq._fit_stack(target, lam2, DaqConfig(order=order))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * target.nbytes
 
 
 # --- stacks fitted side by side ------------------------------------------------

@@ -883,6 +883,9 @@ _REPORT_WITH_NAN = json.dumps(
 ).encode()
 
 
+_REPORT_NESTED = b'{"layers": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+
+
 def _eval_over_report_of(raw):
     def make_args(tmp_path):
         cfg_path = _cli_config(tmp_path)
@@ -996,6 +999,8 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
         pytest.param(_report_of(b"\xff\xfe"), 3, id="report_not_utf8"),
         pytest.param(_report_of(_REPORT_WITH_NAN), 3, id="report_with_nan"),
         pytest.param(_report_of(b'{"layers": {}, "seed": 1e400}'), 3, id="report_with_1e400"),
+        pytest.param(_report_of(_REPORT_NESTED), 3, id="report_nested_too_deeply"),
+        pytest.param(_eval_over_report_of(_REPORT_NESTED), 3, id="eval_over_report_nested"),
         pytest.param(_eval_over_report_of(b"[]"), 3, id="eval_over_report_not_an_object"),
         pytest.param(_eval_over_report_of(b"\xff"), 3, id="eval_over_report_not_utf8"),
         pytest.param(
@@ -1065,6 +1070,9 @@ def _model_seq_len_beyond_eval_bound(tmp_path):
             "lambda_weight=inf",
             "lambda_weight=1e200",
             "calib_sequences=100000000000",
+            # Rng keeps the low 64 bits, so these would repeat seeds 2^64 - 1 and 0
+            "seed=-1",
+            f"seed={1 << 64}",
         )
     ],
 )

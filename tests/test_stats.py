@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskquant import stats
 from maskquant.container import ContainerError
 from maskquant.errors import ShapeError
 from maskquant.rng import Rng
@@ -50,6 +51,43 @@ def test_accumulate_matches_outer_product_sum():
         x = cols[:, j].astype(np.float64)
         oracle += np.outer(x, x)
     assert np.allclose(sm.gram, oracle, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("width", [1, 127, 128, 129, 136, 300, 1024])
+def test_accumulate_is_a_fold_of_block_grams(width):
+    # the panels' products equal numpy's syrk of the whole block bit for bit
+    # where OpenBLAS computes every entry of a product alike: at any width of
+    # one panel or a multiple of 8 (136 ends in a ragged 8-row panel). At
+    # other widths its edge kernels sum some entries in another order, and
+    # the grams agree to float64 rounding.
+    rng = Rng(width, 0)
+    sm = SecondMoment(width)
+    oracle = np.zeros((width, width))
+    for tokens in (64, 448, 512):
+        x = np.asarray(rng.gaussian((width, tokens)), dtype=np.float32)
+        sm.accumulate(x)
+        x = x.astype(np.float64)
+        oracle += x @ x.T
+    assert np.array_equal(sm.gram, sm.gram.T)
+    if width <= stats._PANEL_ROWS or width % 8 == 0:
+        assert sm.gram.tobytes() == oracle.tobytes()
+    else:
+        assert np.allclose(sm.gram, oracle, rtol=0, atol=1e-14 * np.abs(oracle).max())
+    assert sm.count == 1024
+
+
+def test_accumulate_makes_no_gram_sized_temporary():
+    # the float64 copy of the block, and one panel of 128 rows: a product of
+    # the whole block would add a whole gram
+    x = np.asarray(Rng(3, 3).gaussian((1024, 512)), dtype=np.float32)
+    sm = SecondMoment(1024)
+    tracemalloc.start()
+    try:
+        sm.accumulate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.astype(np.float64).nbytes + sm.gram.nbytes // 4
 
 
 def test_regrouped_shards_match_to_rounding():
