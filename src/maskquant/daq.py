@@ -15,8 +15,8 @@ is undone. Every reduction runs per group in the order a lone fit uses,
 so a stack returns the same bits as fitting its groups one at a time. The
 public functions are the G = 1 view of the stacked code. The stacks of one
 call are independent, so the calling thread and a pool of one worker per
-further core fit them side by side; the result does not depend on how
-many workers there are.
+further core fit them side by side, each in a workspace that the calling
+thread allocates; the result does not depend on how many workers there are.
 
 All internal arithmetic is float64; returned scales are float32 and signs
 are int8, strictly +-1 with sign(0) defined as +1.
@@ -24,6 +24,7 @@ are int8, strictly +-1 with sign(0) defined as +1.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -110,11 +111,21 @@ def _checked(name: str, value, shape: tuple) -> np.ndarray:
     return value
 
 
-def _squared_weights(lam, shape) -> np.ndarray:
-    lam = _checked("weight mask", lam, shape)
+def _squared_weights(lam, out: np.ndarray, weight: float | None = None) -> np.ndarray:
+    """lam * lam for a weight mask `lam` of out's shape, written to `out`.
+    With `weight`, `lam` is a boolean outlier mask that stands for `weight`
+    where set and 1.0 elsewhere, and the squares are weight * weight and
+    1.0, the values its float mask gives."""
+    if np.shape(lam) != out.shape:
+        raise ShapeError(f"weight mask has shape {np.shape(lam)}, expected {out.shape}")
+    if weight is not None:
+        out.fill(1.0)
+        out[lam] = weight * weight
+        return out
+    lam = np.asarray(lam, dtype=np.float64)
     if not np.isfinite(lam).all():
         raise ValueError("weight mask contains non-finite entries")
-    return lam * lam
+    return np.multiply(lam, lam, out=out)
 
 
 def _outer(alpha_r: np.ndarray, alpha_c: np.ndarray, out=None) -> np.ndarray:
@@ -122,14 +133,67 @@ def _outer(alpha_r: np.ndarray, alpha_c: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(alpha_r[..., :, None], alpha_c[..., None, :], out=out)
 
 
-def _residual(target, planes, signs, out, skip: int | None = None) -> np.ndarray:
+def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The head of the flat `buffer` as a contiguous array of `shape`."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _row_tiles(size: int, rows: int, cols: int) -> list:
+    """Row slices of a (..., size, rows, cols) stack, each of at most
+    _MAX_STACK_WEIGHTS weights or one row of every group."""
+    step = max(1, _MAX_STACK_WEIGHTS // (size * cols))
+    return [np.s_[..., r : r + step, :] for r in range(0, rows, step)]
+
+
+def _sum_slots(order: int) -> int:
+    """Scratch arrays the sign search's sums take: 2^(order-1), and none at
+    order 1, which searches planes[0] itself."""
+    return 0 if order == 1 else 1 << (order - 1)
+
+
+class _Workspace:
+    """Every array that the fits of one lane write, for stacks of at most
+    `size` groups of (rows, cols) at `order`: the stack's target and squared
+    weights (None unless `weighted`), each term's outer(alpha_r, alpha_c),
+    two int8 sign sets (a sweep's and the one it may be undone to) and the
+    work buffer, plus the scratch of one row tile: float64 for a residual
+    term or the sign search's sums and error, and bytes for its ranks and
+    comparisons. _fit_groups allocates it in the calling thread, so a pool
+    thread's malloc arena holds none of these."""
+
+    def __init__(self, size: int, rows: int, cols: int, order: int, weighted: bool):
+        n = size * rows * cols
+        tile = min(n, max(_MAX_STACK_WEIGHTS, size * cols))  # the largest of _row_tiles
+        self.shape = (rows, cols)
+        self.target = np.empty(n)
+        self.lam2 = np.empty(n) if weighted else None
+        self.planes = np.empty(order * n)
+        self.signs = np.empty((2, order * n), dtype=np.int8)
+        self.work = np.empty(n)
+        self.floats = np.empty((1 + _sum_slots(order)) * tile)
+        self.bytes = np.empty(2 * tile, dtype=np.uint8)
+
+    def stack(self, size: int):
+        """The target and squared weights of a stack of `size` groups, to be filled."""
+        lam2 = None if self.lam2 is None else _view(self.lam2, size, *self.shape)
+        return _view(self.target, size, *self.shape), lam2
+
+    def scratch(self, shape: tuple, count: int = 1) -> list[np.ndarray]:
+        """`count` float64 scratch arrays of one tile's `shape`."""
+        n = math.prod(shape)
+        return [self.floats[i * n : (i + 1) * n].reshape(shape) for i in range(count)]
+
+
+def _residual(target, planes, signs, out, ws: _Workspace, skip: int | None = None) -> np.ndarray:
     """`target` less the sum of the terms planes[q] * signs[q] but `skip`,
-    written to `out`. The sum runs from zero in term order (the order fixes
-    the last bits, and so the bytes, of a fit)."""
+    written to `out`; each term is formed in `ws`'s scratch. The sum runs
+    from zero in term order (the order fixes the last bits, and so the
+    bytes, of a fit)."""
+    term = ws.scratch(out.shape)[0]
     out.fill(0.0)
     for q in range(len(planes)):
         if q != skip:
-            out += planes[q] * signs[q]
+            out += np.multiply(planes[q], signs[q], out=term)
     return np.subtract(target, out, out=out)
 
 
@@ -140,19 +204,22 @@ def center_rows(w) -> tuple[np.ndarray, np.ndarray]:
     return mu, w - mu[:, None]
 
 
-def _rc_init(x: np.ndarray):
+def _rc_init(x: np.ndarray, ratios: np.ndarray, signs: np.ndarray):
     """Magnitude-matched starting point of each matrix of the stack `x`: row
     scales are row means of |x|, column scales are column means of |x| after
-    row normalization, and the carrier is the sign pattern. Zero rows
-    contribute nothing to the column scales."""
-    ax = np.abs(x)
+    row normalization, and the carrier is the sign pattern, written to the
+    int8 `signs`. `ratios`, of x's shape, holds |x| and then the ratios.
+    Zero rows contribute nothing to the column scales."""
+    ax = np.abs(x, out=ratios)
     alpha_r = ax.mean(axis=-1)
-    ratios = np.divide(
-        ax, alpha_r[..., None], out=np.zeros_like(ax), where=alpha_r[..., None] > 0
-    )
+    nonzero = alpha_r > 0
+    np.divide(ax, alpha_r[..., None], out=ratios, where=nonzero[..., None])
+    ratios[~nonzero] = 0.0
     alpha_c = ratios.mean(axis=-2)
-    signs = np.where(x >= 0, 1.0, -1.0)
-    return alpha_r, alpha_c, signs
+    np.greater_equal(x, 0.0, out=signs.view(bool))
+    np.multiply(signs, 2, out=signs)
+    np.subtract(signs, 1, out=signs)
+    return alpha_r, alpha_c
 
 
 def _weighted_product(x, signs, lam2, out=None) -> np.ndarray:
@@ -190,7 +257,7 @@ def _update_operands(x, signs, lam):
     if x.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {x.shape}")
     signs = _checked("signs", signs, x.shape)
-    lam2 = None if lam is None else _squared_weights(lam, x.shape)[None]
+    lam2 = None if lam is None else _squared_weights(lam, np.empty(x.shape))[None]
     return _weighted_product(x[None], signs[None], lam2), lam2
 
 
@@ -218,38 +285,55 @@ def _sign_candidates(order: int) -> np.ndarray:
 
 
 _CANDIDATES = {order: _sign_candidates(order) for order in (1, 2, 3)}  # (2^K, K) each
+# bit c of _NEGATIVE[K][k] is set where candidate c gives term k the sign -1
+_NEGATIVE = {
+    order: [np.uint8(sum(1 << c for c, cand in enumerate(cands) if cand[k] < 0)) for k in range(order)]
+    for order, cands in _CANDIDATES.items()
+}
 
 
-def _sign_search(target: np.ndarray, planes: np.ndarray) -> np.ndarray:
+def _sign_search(target, planes, signs, best, ws: _Workspace) -> None:
     """Exhaustive per-entry search over the sign combinations of all terms.
 
     `planes` (K, G, rows, cols) holds each term's outer(alpha_r, alpha_c).
-    Returns (K, G, rows, cols) int8 signs whose scale-weighted sum is
-    closest to `target` (G, rows, cols). Candidates are tried in ranked order
-    and only a strictly closer one replaces the best so far, so ties keep the
-    first: the most +1 entries.
+    Writes to `signs` (K, G, rows, cols) the int8 signs whose scale-weighted
+    sum is closest to `target` (G, rows, cols), and to `best` the distance
+    |target - sum| they leave, using `ws`'s scratch. Candidates are tried in
+    ranked order and only a strictly closer one replaces the best so far,
+    so ties keep the first: the most +1 entries.
     """
-    cands = _CANDIDATES[len(planes)]
+    order = len(planes)
+    err, *slots = ws.scratch(target.shape, 1 + _sum_slots(order))
     # sums[i] adds the planes left to right from +planes[0], subtracting plane
     # k where bit k-1 of i is set; a candidate led by -1 is the negation of
     # the one led by +1, and rounding is symmetric, so it needs no sum of its own
     sums = [planes[0]]
     for plane in planes[1:]:
-        sums = [s + plane for s in sums] + [s - plane for s in sums]
-    err = np.empty_like(target)
-    best = np.empty_like(target)
-    closer = np.empty(target.shape, dtype=bool)
-    rank = np.zeros(target.shape, dtype=np.int8)
-    for c, cand in enumerate(cands):
-        idx = sum(1 << (k - 1) for k in range(1, len(cand)) if cand[k] != cand[0])
+        m = len(sums)
+        for i in range(m):
+            np.subtract(sums[i], plane, out=slots[m + i])
+            np.add(sums[i], plane, out=slots[i])
+        sums = slots[: 2 * m]
+    n = target.size
+    rank = ws.bytes[:n].reshape(target.shape)
+    closer = ws.bytes[n : 2 * n].reshape(target.shape)
+    rank.fill(0)
+    for c, cand in enumerate(_CANDIDATES[order]):
+        idx = sum(1 << (k - 1) for k in range(1, order) if cand[k] != cand[0])
         (np.subtract if cand[0] > 0 else np.add)(target, sums[idx], out=err)
         np.abs(err, out=best if c == 0 else err)
         if c:
-            np.less(err, best, out=closer)
+            np.less(err, best, out=closer.view(bool))
             np.minimum(best, err, out=best)
             # ranks only grow, so the latest strictly closer candidate has the largest
-            np.maximum(rank, np.multiply(closer, np.int8(c)), out=rank)
-    return np.take(cands.T, rank.astype(np.intp), axis=1)
+            np.maximum(rank, np.multiply(closer, np.uint8(c), out=closer), out=rank)
+    for k in range(order):
+        # term k's sign is -1 where bit `rank` of _NEGATIVE[order][k] is set
+        bits = signs[k].view(np.uint8)
+        np.right_shift(_NEGATIVE[order][k], rank, out=bits)
+        np.bitwise_and(bits, 1, out=bits)
+        np.multiply(signs[k], -2, out=signs[k])
+        np.add(signs[k], 1, out=signs[k])
 
 
 def update_signs(target, scale_pairs) -> list[np.ndarray]:
@@ -265,14 +349,19 @@ def update_signs(target, scale_pairs) -> list[np.ndarray]:
     if not 1 <= len(pairs) <= 3:
         raise ValueError(f"sign search supports 1..3 terms, got {len(pairs)}")
     rows, cols = target.shape
-    planes = np.stack([
+    ws = _Workspace(1, rows, cols, len(pairs), weighted=False)
+    planes = _view(ws.planes, len(pairs), 1, rows, cols)
+    for k, (ar, ac) in enumerate(pairs):
         _outer(
             _checked(f"alpha_r of term {k}", ar, (rows,)),
             _checked(f"alpha_c of term {k}", ac, (cols,)),
+            out=planes[k, 0],
         )
-        for k, (ar, ac) in enumerate(pairs)
-    ])
-    return [s.astype(np.float64) for s in _sign_search(target[None], planes[:, None])[:, 0]]
+    signs = _view(ws.signs[0], len(pairs), 1, rows, cols)
+    best = _view(ws.work, 1, rows, cols)
+    for t in _row_tiles(1, rows, cols):
+        _sign_search(target[None][t], planes[t], signs[t], best[t], ws)
+    return [s.astype(np.float64) for s in signs[:, 0]]
 
 
 def _fitted_group(ar, ac, signs, j: int, history: list[float]) -> QuantizedGroup:
@@ -290,54 +379,65 @@ def _fitted_group(ar, ac, signs, j: int, history: list[float]) -> QuantizedGroup
 
 
 def _fit_stack(
-    target: np.ndarray, lam2: np.ndarray | None, cfg: DaqConfig
+    target: np.ndarray, lam2: np.ndarray | None, cfg: DaqConfig, ws: _Workspace
 ) -> list[QuantizedGroup]:
     """daq_fit of each matrix of the stack `target` (G, rows, cols) against
-    the squared weight masks `lam2` (the same shape, or None). A group that
-    stops stays in the stack, frozen: each later sweep of it is undone, so
-    each keeps its own tolerance stop, sweep limit and rollback.
+    the squared weight masks `lam2` (the same shape, or None), writing only
+    into the workspace `ws` beside the scales and the returned groups. A
+    group that stops stays in the stack, frozen: each later sweep of it is
+    undone, so each keeps its own tolerance stop, sweep limit and rollback.
 
     Term q is planes[q] * signs[q], formed where it is needed. Residuals,
     weighted products, the sign search and squared errors run over row tiles
     of at most _MAX_STACK_WEIGHTS weights, into one stack-sized work buffer;
     the scale refits and loss sums read the whole buffer, so each reduction
-    runs in the order of an untiled fit."""
+    runs in the order of an untiled fit. A sweep's loss sums the squares of
+    the distances its sign search leaves, |d| * |d| (times lam2) in place of
+    d * d: the same values, in the same order."""
     order = cfg.order
     size, rows, cols = target.shape
-    planes = np.empty((order, size, rows, cols))  # outer(alpha_r, alpha_c) of each term
-    signs = np.empty(planes.shape, dtype=np.int8)  # an int8 sign scales a float64 exactly
+    planes = _view(ws.planes, order, size, rows, cols)  # outer(alpha_r, alpha_c) of each term
+    # int8 signs scale a float64 exactly; a sweep reads `prior` and writes `signs`
+    signs, prior = (_view(s, order, size, rows, cols) for s in ws.signs)
+    work = _view(ws.work, size, rows, cols)
     ar = np.empty((order, size, rows))
     ac = np.empty((order, size, cols))
-    work = np.empty_like(target)
-    step = max(1, _MAX_STACK_WEIGHTS // (size * cols))
-    tiles = [np.s_[..., r : r + step, :] for r in range(0, rows, step)]
+    tiles = _row_tiles(size, rows, cols)
+
+    def square(t) -> None:
+        """work[t]'s errors squared in place, times lam2 when weighted."""
+        d = work[t]
+        if lam2 is not None:
+            d = np.multiply(lam2[t], d, out=ws.scratch(d.shape)[0])
+        np.multiply(d, work[t], out=work[t])
 
     def loss() -> np.ndarray:
-        for t in tiles:
-            diff = _residual(target[t], planes[t], signs[t], work[t])
-            work[t] = diff * diff if lam2 is None else lam2[t] * diff * diff
         return work.reshape(size, -1).sum(axis=1)
 
     for k in range(order):
         for t in tiles:
-            _residual(target[t], planes[:k][t], signs[:k][t], work[t])
-        ar[k], ac[k], signs[k] = _rc_init(work)
+            _residual(target[t], planes[:k][t], signs[:k][t], work[t], ws)
+        # planes[k] holds the ratios until the term's own plane replaces them
+        ar[k], ac[k] = _rc_init(work, planes[k], signs[k])
         _outer(ar[k], ac[k], out=planes[k])
 
+    for t in tiles:
+        _residual(target[t], planes[t], signs[t], work[t], ws)
+        square(t)
     histories = [[value] for value in loss().tolist()]
     done = np.zeros(size, dtype=bool)
     for _ in range(cfg.sweeps):
-        saved = ar.copy(), ac.copy(), signs
+        saved, signs, prior = (ar.copy(), ac.copy()), prior, signs
         for k in range(order):
             for t in tiles:
-                x = _residual(target[t], planes[t], signs[t], work[t], skip=k)
-                _weighted_product(x, signs[k][t], None if lam2 is None else lam2[t], out=x)
+                x = _residual(target[t], planes[t], prior[t], work[t], ws, skip=k)
+                _weighted_product(x, prior[k][t], None if lam2 is None else lam2[t], out=x)
             ar[k] = _row_scales(work, lam2, ac[k], cfg.epsilon)
             ac[k] = _col_scales(work, lam2, ar[k], cfg.epsilon)
             _outer(ar[k], ac[k], out=planes[k])
-        signs = np.empty_like(signs)
         for t in tiles:
-            signs[t] = _sign_search(target[t], planes[t])
+            _sign_search(target[t], planes[t], signs[t], work[t], ws)
+            square(t)
         cur = loss()
         prev = np.array([history[-1] for history in histories])
         # a sweep that raised the loss is undone, as is any sweep of a stopped
@@ -347,7 +447,7 @@ def _fit_stack(
         for history, value, skip in zip(histories, cur.tolist(), undo):
             if not skip:
                 history.append(value)
-        ar[:, undo], ac[:, undo], signs[:, undo] = (s[:, undo] for s in saved)
+        ar[:, undo], ac[:, undo], signs[:, undo] = (s[:, undo] for s in (*saved, prior))
         gain = np.divide(prev - cur, prev, out=np.zeros_like(prev), where=prev > 0)
         done |= undo | (prev <= 0.0) | (gain < cfg.tol)
         if done.all():
@@ -355,39 +455,50 @@ def _fit_stack(
     return [_fitted_group(ar, ac, signs, j, histories[j]) for j in range(size)]
 
 
-def _fit_lane(blocks, lams, cfg: DaqConfig, starts, step: int) -> list[list[QuantizedGroup]]:
+def _fit_lane(
+    ws: _Workspace, blocks, lams, weight, cfg: DaqConfig, starts, step: int
+) -> list[list[QuantizedGroup]]:
     """The fits of one lane's stacks, `blocks[start : start + step]` for each
-    of `starts`, one list per stack."""
+    of `starts`, one list per stack, each loaded into and fitted in `ws`."""
     out = []
     for start in starts:
-        ws = [_validated(w) for w in blocks[start : start + step]]
-        lam2 = None
-        if lams is not None:
-            chunk = lams[start : start + step]
-            lam2 = np.stack([_squared_weights(lam, w.shape) for lam, w in zip(chunk, ws)])
-        out.append(_fit_stack(np.stack(ws), lam2, cfg))
+        chunk = blocks[start : start + step]
+        target, lam2 = ws.stack(len(chunk))
+        for j, w in enumerate(chunk):
+            w = _validated(w)
+            if w.shape != ws.shape:
+                raise ShapeError(f"matrix has shape {w.shape}, expected {ws.shape} like the first")
+            target[j] = w
+            if lam2 is not None:
+                _squared_weights(lams[start + j], lam2[j], weight)
+        out.append(_fit_stack(target, lam2, cfg, ws))
     return out
 
 
-def _fit_groups(blocks, lams, cfg: DaqConfig) -> list[QuantizedGroup]:
+def _fit_groups(blocks, lams, cfg: DaqConfig, weight: float | None = None) -> list[QuantizedGroup]:
     """daq_fit of each matrix of `blocks`, all of one shape, against the
-    matching weight mask of `lams` (None: unweighted), run as stacks of at
-    most _MAX_STACK_WEIGHTS weights (a larger group runs alone). The stacks
-    are dealt round-robin to the caller and up to _WORKERS pool threads; the
-    fits come back in block order, and an error raised by any lane is raised
-    here once every lane has finished."""
+    matching weight mask of `lams` (None: unweighted; with `weight`, boolean
+    outlier masks, see _squared_weights), run as stacks of at most
+    _MAX_STACK_WEIGHTS weights (a larger group runs alone). The stacks are
+    dealt round-robin to the caller and up to _WORKERS pool threads, each
+    lane fitting its stacks in one _Workspace that this thread allocates;
+    the fits come back in block order, and an error raised by any lane is
+    raised here once every lane has finished."""
     global _pool
-    step = max(1, _MAX_STACK_WEIGHTS // max(1, np.size(blocks[0])))
+    rows, cols = _validated(blocks[0]).shape
+    step = max(1, _MAX_STACK_WEIGHTS // (rows * cols))
     starts = range(0, len(blocks), step)
     lanes = min(len(starts), 1 + _WORKERS)
+    size = min(step, len(blocks))
+    spaces = [_Workspace(size, rows, cols, cfg.order, lams is not None) for _ in range(lanes)]
     if lanes > 1 and _pool is None:
         _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="daq")
     others = [
-        _pool.submit(_fit_lane, blocks, lams, cfg, starts[lane::lanes], step)
+        _pool.submit(_fit_lane, spaces[lane], blocks, lams, weight, cfg, starts[lane::lanes], step)
         for lane in range(1, lanes)
     ]
     try:
-        done = [_fit_lane(blocks, lams, cfg, starts[::lanes], step)]
+        done = [_fit_lane(spaces[0], blocks, lams, weight, cfg, starts[::lanes], step)]
     finally:
         wait(others)
     done += [future.result() for future in others]

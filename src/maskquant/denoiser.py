@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -88,12 +88,18 @@ def init_model(spec: ToyModelSpec) -> ToyModel:
     tensors = {}
     for i, (name, shape) in enumerate(_tensor_shapes(spec).items()):
         stream = MODEL_STREAM_BASE + (100 if name == "positional" else i)
-        rng = Rng(spec.seed, stream)
-        tensors[name] = (rng.gaussian(shape) / np.sqrt(shape[1])).astype(np.float32)
+        draws = Rng(spec.seed, stream).gaussian(shape)
+        draws /= np.sqrt(shape[1])
+        tensors[name] = draws.astype(np.float32)
     return _assemble(spec, tensors)
 
 
-def forward(model: ToyModel, ids: np.ndarray, overrides: Mapping[str, np.ndarray] | None = None):
+def forward(
+    model: ToyModel,
+    ids: np.ndarray,
+    overrides: Mapping[str, np.ndarray] | None = None,
+    consumers: Mapping[str, Callable[[np.ndarray], object]] | None = None,
+):
     """Run the denoiser on a 2-D `(n, L)` block of token ids.
 
     Returns (logits, inputs): logits is (vocab, n*L), and inputs maps each
@@ -105,6 +111,12 @@ def forward(model: ToyModel, ids: np.ndarray, overrides: Mapping[str, np.ndarray
     row length of 64), to float32 rounding elsewhere. `overrides` substitutes
     weight matrices by layer name, used to evaluate quantized variants
     without touching the model.
+
+    Given `consumers`, a mapping from layer name to a callable, each named
+    layer's input is handed to its consumer as soon as it is computed, the
+    same matrix `inputs` would hold, and none is kept: the walk stops after
+    the last named layer, computes no product beyond it, and returns None.
+    A consumer must not write to the matrix it is handed.
     """
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.size == 0:
@@ -122,20 +134,42 @@ def forward(model: ToyModel, ids: np.ndarray, overrides: Mapping[str, np.ndarray
             raise ShapeError(
                 f"override for {name} has shape {w.shape}, expected {model.layers[name].shape}"
             )
+    for name in consumers or {}:
+        if name not in model.layers:
+            raise ShapeError(f"unknown layer {name!r}")
 
     def weight(name: str) -> np.ndarray:
         return overrides.get(name, model.layers[name])
 
     inputs: dict[str, np.ndarray] = {}
+    wanted = set(consumers or ())
+
+    def hand(name: str, x: np.ndarray) -> bool:
+        """Pass on layer `name`'s input `x`; True once no later input is wanted."""
+        if consumers is None:
+            inputs[name] = x
+            return False
+        if name in wanted:
+            consumers[name](x)
+            wanted.discard(name)
+        return not wanted
+
     h = model.embedding[ids.reshape(-1)].T.copy()  # (d_model, n*L)
     if model.positional is not None:
-        h = h + np.tile(model.positional[:length].T, (1, rows))
+        h += np.tile(model.positional[:length].T, (1, rows))
     for b in range(model.spec.n_blocks):
         up, down = f"block{b}.up", f"block{b}.down"
-        u = np.maximum(weight(up) @ h, 0.0)
-        inputs[up], inputs[down] = h, u
-        h = h + weight(down) @ u
-    inputs["out_proj"] = h
+        if hand(up, h):
+            return None
+        u = weight(up) @ h
+        np.maximum(u, 0.0, out=u)
+        if hand(down, u):
+            return None
+        product = weight(down) @ u
+        del u  # so the next block's up-projection runs without it
+        h = np.add(product, h, out=product)  # h + product: addition commutes bit for bit
+    if hand("out_proj", h):
+        return None
     return weight("out_proj") @ h, inputs
 
 

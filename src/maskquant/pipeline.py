@@ -345,7 +345,9 @@ def _calib_fingerprint(cfg: PipelineConfig, weights, tokens: np.ndarray) -> str:
 
 
 def _calibrate(cfg: PipelineConfig, model: ToyModel, names: list[str], tokens: np.ndarray) -> dict:
-    """Second moment of each named layer's inputs over the calibration tokens."""
+    """Second moment of each named layer's inputs over the calibration tokens.
+    One forward per block of rows hands each input to its layer's moment as
+    it is computed, so a block's inputs are never held together."""
     _check_gram_entries(model.layers[name].shape[1] for name in names)
     if cfg.use_mcs:
         masked = mcs.simulate(tokens, cfg.mcs_config(model.spec.mask_id))
@@ -353,10 +355,21 @@ def _calibrate(cfg: PipelineConfig, model: ToyModel, names: list[str], tokens: n
     else:
         sequences = tokens  # calibration_tokens has already rejected the mask id
     moments = {name: stats.SecondMoment(model.layers[name].shape[1]) for name in names}
-    for block in _row_blocks(sequences):
-        _, inputs = forward(model, block)
-        for name, sm in moments.items():
-            sm.accumulate(inputs[name])
+    blocks = list(_row_blocks(sequences))
+    # each layer input is converted into the head of this buffer, then added to its gram
+    buffer = np.empty(max(sm.dim for sm in moments.values()) * max(b.size for b in blocks))
+
+    def accumulator(sm: stats.SecondMoment):
+        def accumulate(inputs: np.ndarray) -> None:
+            x = buffer[: inputs.size].reshape(inputs.shape)
+            x[...] = inputs
+            sm.accumulate(x)
+
+        return accumulate
+
+    consumers = {name: accumulator(sm) for name, sm in moments.items()}
+    for block in blocks:
+        forward(model, block, consumers=consumers)
     return moments
 
 
@@ -474,14 +487,12 @@ def _quantize_layer(name: str, weights: np.ndarray, moment, cfg: PipelineConfig,
     rows, cols = weights.shape
     sm, inv_diag = moment or (None, None)
     importance = None
-    mask = None
-    lam = None
+    mask = None  # the outliers, which the fits weigh by lambda_weight and the rest by 1.0
     outlier_fraction = None
     if cfg.use_dor or cfg.use_abmp:
         importance = stats.importance_matrix(weights, inv_diag)
     if cfg.use_dor:
         mask = stats.build_importance_mask(importance)
-        lam = np.where(mask, cfg.lambda_weight, 1.0)
         outlier_fraction = float(mask.mean())
 
     part = abmp.partition(rows, cols, cfg.group_width)
@@ -500,7 +511,7 @@ def _quantize_layer(name: str, weights: np.ndarray, moment, cfg: PipelineConfig,
     keys = []
     for (start, end), order in zip(part.ranges, alloc.orders):
         weighting = None
-        if lam is not None:
+        if mask is not None:
             weighting = (cfg.lambda_weight, np.packbits(mask[:, start:end]).tobytes())
         keys.append((name, (start, end), cfg.daq_config(order), weighting))
     missing = [i for i, key in enumerate(keys) if key not in fits]
@@ -511,11 +522,12 @@ def _quantize_layer(name: str, weights: np.ndarray, moment, cfg: PipelineConfig,
         columns = [slice(*part.ranges[i]) for i in members]
         fitted = daq._fit_groups(
             [target[:, c] for c in columns],
-            None if lam is None else [lam[:, c] for c in columns],
+            None if mask is None else [mask[:, c] for c in columns],
             cfg.daq_config(kind[0]),
+            cfg.lambda_weight,
         )
         fits.update((keys[i], _keep(fit, name)) for i, fit in zip(members, fitted))
-    del target, lam, mask  # no view of them outlives the fits, so they are freed here
+    del target, mask  # no view of them outlives the fits, so they are freed here
     groups = [fits[key] for key in keys]
     loss_init = 0.0
     loss_final = 0.0

@@ -48,6 +48,14 @@ class SecondMoment:
         self.gram = np.zeros((dim, dim), dtype=np.float64)
         self.count: int | None = 0
 
+    @classmethod
+    def _holding(cls, gram: np.ndarray) -> SecondMoment:
+        """A moment around `gram` itself, as read from a file: `count` None."""
+        sm = cls.__new__(cls)
+        sm.gram = gram
+        sm.count = None
+        return sm
+
     @property
     def dim(self) -> int:
         return self.gram.shape[0]
@@ -79,10 +87,7 @@ def load_second_moment(path: str | os.PathLike) -> SecondMoment:
         raise ShapeError(f"{path}: not a nonempty square matrix")
     if (np.diag(gram) < 0).any():
         raise ContainerError(f"{path}: negative diagonal entry, impossible in a second moment")
-    sm = SecondMoment(gram.shape[0])
-    sm.gram = gram.astype(np.float64, copy=False)
-    sm.count = None
-    return sm
+    return SecondMoment._holding(gram.astype(np.float64, copy=False))
 
 
 def damped_inverse_diag(sm: SecondMoment, damp_rel: float = 0.01) -> np.ndarray:

@@ -536,19 +536,55 @@ def test_row_tiles_keep_every_bit(order, weighted):
         assert _fit_bytes(daq._fit_groups(blocks, lams, cfg)) == whole
 
 
+def _loaded_workspace(target, lam2, order):
+    """A workspace for the stack `target`, holding it and its squared weights."""
+    ws = daq._Workspace(*target.shape, order, weighted=lam2 is not None)
+    stack, squares = ws.stack(len(target))
+    stack[...] = target
+    if lam2 is not None:
+        squares[...] = lam2
+    return ws, stack, squares
+
+
 @pytest.mark.parametrize("order, bound", [(2, 8), (3, 10)])
 def test_fit_stack_memory_is_bounded(order, bound):
-    # planes, the work buffer and the signs are whole-stack arrays; the
-    # elementwise passes of a 1024x128 group run in two tiles of 512 rows
+    # the workspace holds the target, the squared weights, the planes, two
+    # sign sets and the work buffer for the whole stack; the elementwise
+    # passes of a 1024x128 group run in two tiles of 512 rows, so its
+    # scratch is half a stack per array
     target = _gauss((1, 1024, 128), seed=5)
     lam2 = np.where(_gauss((1, 1024, 128), seed=5, stream=1) > 1.0, 6.25, 1.0)
     tracemalloc.start()
     try:
-        daq._fit_stack(target, lam2, DaqConfig(order=order))
+        ws, stack, squares = _loaded_workspace(target, lam2, order)
+        daq._fit_stack(stack, squares, DaqConfig(order=order), ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound * target.nbytes
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_fit_stack_allocates_only_its_results_beside_the_workspace(order, weighted):
+    # two 512x128 groups: a stack of 2^17 weights, in two row tiles
+    size, rows, cols = 2, 512, 128
+    target = _gauss((size, rows, cols), seed=8)
+    lam2 = np.where(_gauss(target.shape, seed=8, stream=1) > 1.0, 6.25, 1.0) if weighted else None
+    ws, stack, squares = _loaded_workspace(target, lam2, order)
+    cfg = DaqConfig(order=order, sweeps=4, tol=0.0)
+    tracemalloc.start()
+    try:
+        fits = daq._fit_stack(stack, squares, cfg, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(fit.loss_history) for fit in fits] == [cfg.sweeps + 1] * size
+    signs = order * size * rows * cols  # the returned int8 signs
+    # float64 scales, their saved and float32 copies, the refits' products:
+    # a few vectors of rows + cols entries per term and group
+    scales = 8 * 8 * order * size * (rows + cols)
+    assert peak <= signs + scales
 
 
 # --- stacks fitted side by side ------------------------------------------------
@@ -561,9 +597,9 @@ def lanes(monkeypatch):
     seen = []
     fit_lane = daq._fit_lane
 
-    def spy(blocks, lams, cfg, starts, step):
+    def spy(ws, blocks, lams, weight, cfg, starts, step):
         seen.append((threading.current_thread().name, list(starts)))
-        return fit_lane(blocks, lams, cfg, starts, step)
+        return fit_lane(ws, blocks, lams, weight, cfg, starts, step)
 
     def use(workers):
         if daq._pool is not None:

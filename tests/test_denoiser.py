@@ -6,6 +6,7 @@ import pytest
 from maskquant.container import ContainerError, write_tensor
 from maskquant.daq import DaqConfig, daq_fit
 from maskquant.denoiser import (
+    ToyModel,
     ToyModelSpec,
     _reference_logits,
     eval_divergence,
@@ -93,6 +94,51 @@ def test_identity_override_bitwise_equal():
     base, _ = forward(model, ids)
     same, _ = forward(model, ids, overrides={n: model.layers[n] for n in model.spec.quantizable_names()})
     assert np.array_equal(base, same)
+
+
+class _Unmultipliable(np.ndarray):
+    """A weight matrix whose product raises: a layer the walk must not reach."""
+
+    def __matmul__(self, other):
+        raise AssertionError("a product beyond the last consumed layer")
+
+
+@pytest.mark.parametrize("positional", [False, True])
+@pytest.mark.parametrize(
+    "names",
+    [
+        ["block0.up"],
+        ["block1.down", "block0.up"],
+        ["block0.down", "block1.up", "block1.down"],
+        ["block0.up", "block0.down", "block1.up", "block1.down", "out_proj"],
+    ],
+)
+def test_consumers_get_the_inputs_bit_for_bit_and_no_later_product(names, positional):
+    model = _model(positional=positional)
+    ids = Rng(9, 0).integers(0, 64, (3, 40)).astype(np.uint32)
+    _, inputs = forward(model, ids)
+    handed = []
+
+    def consumer(name):
+        return lambda x: handed.append((name, x.copy()))
+
+    # every layer after the last consumed one multiplies by a matrix that raises
+    order = ["block0.up", "block0.down", "block1.up", "block1.down", "out_proj"]
+    last = max(order.index(name) for name in names)
+    layers = dict(model.layers)
+    for name in order[last:]:
+        layers[name] = layers[name].view(_Unmultipliable)
+    walled = ToyModel(model.spec, model.embedding, layers, model.positional)
+    assert forward(walled, ids, consumers={name: consumer(name) for name in names}) is None
+    # in walk order, each once, the very matrix `inputs` holds
+    assert [name for name, _ in handed] == [name for name in order if name in names]
+    for name, x in handed:
+        assert x.dtype == inputs[name].dtype and x.tobytes() == inputs[name].tobytes(), name
+
+
+def test_consumers_name_only_layers_of_the_model():
+    with pytest.raises(ShapeError, match="unknown layer 'block9.up'"):
+        forward(_model(), np.zeros((1, 8), dtype=np.uint32), consumers={"block9.up": print})
 
 
 @pytest.mark.parametrize("positional", [False, True])

@@ -6,6 +6,7 @@ import json
 import shutil
 import struct
 import tempfile
+import tracemalloc
 import types
 import weakref
 from pathlib import Path
@@ -252,6 +253,29 @@ def test_calib_grams_match_per_sequence_accumulation(tmp_path, use_mcs, seq_len)
         assert np.abs(got.gram - sm.gram).max() <= 1e-12 * np.abs(sm.gram).max(), name
 
 
+def test_calibration_holds_one_block_input_at_a_time(tmp_path):
+    # 512-token blocks of a 32-wide model: each layer input goes through one
+    # float64 buffer into its gram as soon as it is computed. The peak is
+    # block 0's down-projection, whose product sits beside h and u; the
+    # walk stops after block1.down's input, before any later product.
+    cfg = _cfg(tmp_path, d_model=32, d_hidden=64, seq_len=64, calib_sequences=16, use_mcs=False)
+    model = get_model(cfg)
+    names = target_layers(cfg, model)
+    tokens = calibration_tokens(cfg, model.spec)
+    tracemalloc.start()
+    try:
+        moments = _calibrate(cfg, model, names, tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert moments["block1.down"].count == tokens.size
+    grams = sum(sm.gram.nbytes for sm in moments.values())
+    buffer = 8 * cfg.d_hidden * 512
+    h, u = 4 * cfg.d_model * 512, 4 * cfg.d_hidden * 512
+    small = 16 << 10  # the id block's index array, the views and closures
+    assert peak <= grams + buffer + 2 * h + u + small
+
+
 def test_forward_lookup_names_see_every_token(tmp_path, monkeypatch):
     # The benchmark's traced run counts tokens and times forwards by wrapping
     # the names the callers look up: `maskquant.pipeline.forward` in calib and
@@ -403,7 +427,7 @@ def test_grid_does_each_shared_piece_of_work_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapped)
 
-    def stack(target, lam2, daq_cfg):
+    def stack(target, lam2, daq_cfg, ws):
         for j in range(len(target)):
             mask = None if lam2 is None else lam2[j].tobytes()
             fitted.append((target[j].tobytes(), mask, daq_cfg))
@@ -1352,9 +1376,9 @@ def test_quantize_fits_same_kind_groups_in_capped_stacks(tmp_path, monkeypatch):
     stacks = []
     fit_stack = daq._fit_stack
 
-    def spy(target, lam2, daq_cfg):
+    def spy(target, lam2, daq_cfg, ws):
         stacks.append(target.shape)
-        return fit_stack(target, lam2, daq_cfg)
+        return fit_stack(target, lam2, daq_cfg, ws)
 
     monkeypatch.setattr(daq, "_fit_stack", spy)
     digest = _weights_sha256(model).hexdigest()

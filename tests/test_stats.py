@@ -119,6 +119,22 @@ def test_save_load_roundtrip(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["s.qdt"]
 
 
+def test_load_holds_only_the_gram_it_reads(tmp_path):
+    # the moment is built around the array read from the file: no
+    # throwaway gram of zeros beside it
+    sm = _moment(np.asarray(Rng(3, 1).gaussian((512, 16)), dtype=np.float32))
+    save_second_moment(sm, tmp_path / "s.qdt")
+    size = (tmp_path / "s.qdt").stat().st_size
+    tracemalloc.start()
+    try:
+        back = load_second_moment(tmp_path / "s.qdt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.gram.tobytes() == sm.gram.tobytes() and back.dim == 512
+    assert peak <= 1.25 * size
+
+
 def test_damped_inverse_refuses_an_empty_moment():
     # no token accumulated: the zero diagonal makes damp 0, so it stays singular
     with pytest.raises(ValueError, match="singular even with damp=0"):
