@@ -14,9 +14,8 @@ rollback: a group that stops stays in the stack, and each later sweep of it
 is undone. Every reduction runs per group in the order a lone fit uses,
 so a stack returns the same bits as fitting its groups one at a time. The
 public functions are the G = 1 view of the stacked code. The stacks of one
-call are independent, so the calling thread and a pool of one worker per
-further core fit them side by side, each in a workspace that the calling
-thread allocates; the result does not depend on how many workers there are.
+call are fitted in turn, in block order, in one workspace sized for the
+largest of them.
 
 All internal arithmetic is float64; returned scales are float32 and signs
 are int8, strictly +-1 with sign(0) defined as +1.
@@ -25,8 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +33,6 @@ from .errors import ShapeError
 # weights fitted as one stack, and the most that one elementwise pass of a fit
 # touches at once: a larger group runs alone, in row tiles of at most this many
 _MAX_STACK_WEIGHTS = 1 << 16
-# threads that fit stacks beside the caller, one per further core the process
-# may use; they start with the first call that has a stack to hand them, and
-# live as long as the process, so each keeps one malloc arena, not one per call
-_WORKERS = len(os.sched_getaffinity(0)) - 1
-_pool: ThreadPoolExecutor | None = None
 
 
 @dataclass(frozen=True)
@@ -151,32 +143,16 @@ def _sum_slots(order: int) -> int:
     return 0 if order == 1 else 1 << (order - 1)
 
 
-class _Workspace:
-    """Every array that the fits of one lane write, for stacks of at most
-    `size` groups of (rows, cols) at `order`: the stack's target and squared
-    weights (None unless `weighted`), each term's outer(alpha_r, alpha_c),
-    two int8 sign sets (a sweep's and the one it may be undone to) and the
-    work buffer, plus the scratch of one row tile: float64 for a residual
-    term or the sign search's sums and error, and bytes for its ranks and
-    comparisons. _fit_groups allocates it in the calling thread, so a pool
-    thread's malloc arena holds none of these."""
+class _Scratch:
+    """The scratch of one row tile of a stack of `size` groups of (rows, cols)
+    at `order`: float64 for a residual term or the sign search's sums and
+    error, and bytes for its ranks and comparisons."""
 
-    def __init__(self, size: int, rows: int, cols: int, order: int, weighted: bool):
+    def __init__(self, size: int, rows: int, cols: int, order: int):
         n = size * rows * cols
         tile = min(n, max(_MAX_STACK_WEIGHTS, size * cols))  # the largest of _row_tiles
-        self.shape = (rows, cols)
-        self.target = np.empty(n)
-        self.lam2 = np.empty(n) if weighted else None
-        self.planes = np.empty(order * n)
-        self.signs = np.empty((2, order * n), dtype=np.int8)
-        self.work = np.empty(n)
         self.floats = np.empty((1 + _sum_slots(order)) * tile)
         self.bytes = np.empty(2 * tile, dtype=np.uint8)
-
-    def stack(self, size: int):
-        """The target and squared weights of a stack of `size` groups, to be filled."""
-        lam2 = None if self.lam2 is None else _view(self.lam2, size, *self.shape)
-        return _view(self.target, size, *self.shape), lam2
 
     def scratch(self, shape: tuple, count: int = 1) -> list[np.ndarray]:
         """`count` float64 scratch arrays of one tile's `shape`."""
@@ -184,7 +160,31 @@ class _Workspace:
         return [self.floats[i * n : (i + 1) * n].reshape(shape) for i in range(count)]
 
 
-def _residual(target, planes, signs, out, ws: _Workspace, skip: int | None = None) -> np.ndarray:
+class _Workspace(_Scratch):
+    """Every array that a fit writes, for stacks of at most `size` groups of
+    (rows, cols) at `order`: the stack's target and squared weights (None
+    unless `weighted`), each term's outer(alpha_r, alpha_c), two int8 sign
+    sets (a sweep's and the one it may be undone to) and the work buffer,
+    beside one row tile's scratch. _fit_groups allocates one per call and
+    loads each of its stacks into it in turn."""
+
+    def __init__(self, size: int, rows: int, cols: int, order: int, weighted: bool):
+        super().__init__(size, rows, cols, order)
+        n = size * rows * cols
+        self.shape = (rows, cols)
+        self.target = np.empty(n)
+        self.lam2 = np.empty(n) if weighted else None
+        self.planes = np.empty(order * n)
+        self.signs = np.empty((2, order * n), dtype=np.int8)
+        self.work = np.empty(n)
+
+    def stack(self, size: int):
+        """The target and squared weights of a stack of `size` groups, to be filled."""
+        lam2 = None if self.lam2 is None else _view(self.lam2, size, *self.shape)
+        return _view(self.target, size, *self.shape), lam2
+
+
+def _residual(target, planes, signs, out, ws: _Scratch, skip: int | None = None) -> np.ndarray:
     """`target` less the sum of the terms planes[q] * signs[q] but `skip`,
     written to `out`; each term is formed in `ws`'s scratch. The sum runs
     from zero in term order (the order fixes the last bits, and so the
@@ -292,7 +292,7 @@ _NEGATIVE = {
 }
 
 
-def _sign_search(target, planes, signs, best, ws: _Workspace) -> None:
+def _sign_search(target, planes, signs, best, ws: _Scratch) -> None:
     """Exhaustive per-entry search over the sign combinations of all terms.
 
     `planes` (K, G, rows, cols) holds each term's outer(alpha_r, alpha_c).
@@ -349,18 +349,18 @@ def update_signs(target, scale_pairs) -> list[np.ndarray]:
     if not 1 <= len(pairs) <= 3:
         raise ValueError(f"sign search supports 1..3 terms, got {len(pairs)}")
     rows, cols = target.shape
-    ws = _Workspace(1, rows, cols, len(pairs), weighted=False)
-    planes = _view(ws.planes, len(pairs), 1, rows, cols)
+    planes = np.empty((len(pairs), 1, rows, cols))
     for k, (ar, ac) in enumerate(pairs):
         _outer(
             _checked(f"alpha_r of term {k}", ar, (rows,)),
             _checked(f"alpha_c of term {k}", ac, (cols,)),
             out=planes[k, 0],
         )
-    signs = _view(ws.signs[0], len(pairs), 1, rows, cols)
-    best = _view(ws.work, 1, rows, cols)
+    signs = np.empty(planes.shape, dtype=np.int8)
+    best = np.empty((1, rows, cols))
+    scratch = _Scratch(1, rows, cols, len(pairs))
     for t in _row_tiles(1, rows, cols):
-        _sign_search(target[None][t], planes[t], signs[t], best[t], ws)
+        _sign_search(target[None][t], planes[t], signs[t], best[t], scratch)
     return [s.astype(np.float64) for s in signs[:, 0]]
 
 
@@ -455,54 +455,29 @@ def _fit_stack(
     return [_fitted_group(ar, ac, signs, j, histories[j]) for j in range(size)]
 
 
-def _fit_lane(
-    ws: _Workspace, blocks, lams, weight, cfg: DaqConfig, starts, step: int
-) -> list[list[QuantizedGroup]]:
-    """The fits of one lane's stacks, `blocks[start : start + step]` for each
-    of `starts`, one list per stack, each loaded into and fitted in `ws`."""
-    out = []
-    for start in starts:
-        chunk = blocks[start : start + step]
-        target, lam2 = ws.stack(len(chunk))
-        for j, w in enumerate(chunk):
-            w = _validated(w)
+def _fit_groups(blocks, lams, cfg: DaqConfig, weight: float | None = None) -> list[QuantizedGroup]:
+    """daq_fit of each matrix of `blocks`, all of one shape, against the
+    matching weight mask of `lams` (None: unweighted; with `weight`, boolean
+    outlier masks, see _squared_weights), run as stacks of at most
+    _MAX_STACK_WEIGHTS weights (a larger group runs alone). Each stack is
+    loaded into one _Workspace, sized for the largest, and fitted there in
+    turn, so the fits come back in block order."""
+    first = _validated(blocks[0])
+    rows, cols = first.shape
+    step = max(1, _MAX_STACK_WEIGHTS // (rows * cols))
+    ws = _Workspace(min(step, len(blocks)), rows, cols, cfg.order, lams is not None)
+    matrices = itertools.chain([first], map(_validated, blocks[1:]))
+    fits = []
+    for start in range(0, len(blocks), step):
+        target, lam2 = ws.stack(min(step, len(blocks) - start))
+        for j, w in enumerate(itertools.islice(matrices, len(target))):
             if w.shape != ws.shape:
                 raise ShapeError(f"matrix has shape {w.shape}, expected {ws.shape} like the first")
             target[j] = w
             if lam2 is not None:
                 _squared_weights(lams[start + j], lam2[j], weight)
-        out.append(_fit_stack(target, lam2, cfg, ws))
-    return out
-
-
-def _fit_groups(blocks, lams, cfg: DaqConfig, weight: float | None = None) -> list[QuantizedGroup]:
-    """daq_fit of each matrix of `blocks`, all of one shape, against the
-    matching weight mask of `lams` (None: unweighted; with `weight`, boolean
-    outlier masks, see _squared_weights), run as stacks of at most
-    _MAX_STACK_WEIGHTS weights (a larger group runs alone). The stacks are
-    dealt round-robin to the caller and up to _WORKERS pool threads, each
-    lane fitting its stacks in one _Workspace that this thread allocates;
-    the fits come back in block order, and an error raised by any lane is
-    raised here once every lane has finished."""
-    global _pool
-    rows, cols = _validated(blocks[0]).shape
-    step = max(1, _MAX_STACK_WEIGHTS // (rows * cols))
-    starts = range(0, len(blocks), step)
-    lanes = min(len(starts), 1 + _WORKERS)
-    size = min(step, len(blocks))
-    spaces = [_Workspace(size, rows, cols, cfg.order, lams is not None) for _ in range(lanes)]
-    if lanes > 1 and _pool is None:
-        _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="daq")
-    others = [
-        _pool.submit(_fit_lane, spaces[lane], blocks, lams, weight, cfg, starts[lane::lanes], step)
-        for lane in range(1, lanes)
-    ]
-    try:
-        done = [_fit_lane(spaces[0], blocks, lams, weight, cfg, starts[::lanes], step)]
-    finally:
-        wait(others)
-    done += [future.result() for future in others]
-    return [fit for i in range(len(starts)) for fit in done[i % lanes][i // lanes]]
+        fits += _fit_stack(target, lam2, cfg, ws)
+    return fits
 
 
 def daq_fit(w, lam=None, cfg: DaqConfig | None = None) -> QuantizedGroup:

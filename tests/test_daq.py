@@ -1,7 +1,6 @@
 """Quantizer oracles: init values, closed-form updates, sign search, fits."""
 
 import itertools
-import threading
 import tracemalloc
 from unittest import mock
 
@@ -347,6 +346,16 @@ def test_daq_rejects_bad_inputs():
         lam[1, 0] = bad
         with pytest.raises(ValueError, match="weight mask contains non-finite"):
             daq_fit(np.ones((2, 2)), lam=lam)
+    # each matrix of a later stack is checked as it is loaded
+    blocks, _ = _five_groups()
+    with mock.patch.object(daq, "_MAX_STACK_WEIGHTS", 2 * 6 * 8):  # stacks start at 0, 2 and 4
+        bad = [w.copy() for w in blocks]
+        bad[3][2, 3] = np.nan
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            daq._fit_groups(bad, None, DaqConfig())
+        bad = blocks[:4] + [_gauss((6, 9), seed=3)]
+        with pytest.raises(ShapeError, match=r"matrix has shape \(6, 9\), expected \(6, 8\) like the first"):
+            daq._fit_groups(bad, None, DaqConfig())
 
 
 def test_updates_refuse_scales_of_the_wrong_shape():
@@ -443,6 +452,21 @@ def _oracle_fit(w, lam, cfg):
     return history, scales, signs
 
 
+def _five_groups(seed=3):
+    """Five 6x8 groups and their weight masks."""
+    blocks = [_gauss((6, 8), seed=seed + g) for g in range(5)]
+    lams = [np.where(_gauss((6, 8), seed=seed + g, stream=1) > 1.0, 2.5, 1.0) for g in range(5)]
+    return blocks, lams
+
+
+def _fit_bytes(fits):
+    return [
+        (fit.loss_history, [(t.alpha_r.tobytes(), t.alpha_c.tobytes(), t.signs.tobytes())
+                            for t in fit.orders])
+        for fit in fits
+    ]
+
+
 def _assert_same_as_oracle(fit, w, lam, cfg):
     history, scales, signs = _oracle_fit(w, lam, cfg)
     assert fit.loss_history == history
@@ -533,7 +557,11 @@ def test_row_tiles_keep_every_bit(order, weighted):
     cfg = DaqConfig(order=order, sweeps=6, tol=0.0)
     whole = _fit_bytes(daq._fit_groups(blocks, lams, cfg))
     with mock.patch.object(daq, "_MAX_STACK_WEIGHTS", 5 * 16):
-        assert _fit_bytes(daq._fit_groups(blocks, lams, cfg)) == whole
+        fits = daq._fit_groups(blocks, lams, cfg)
+    assert _fit_bytes(fits) == whole
+    # the three stacks come back in block order
+    for g, fit in enumerate(fits):
+        _assert_same_as_oracle(fit, blocks[g], None if lams is None else lams[g], cfg)
 
 
 def _loaded_workspace(target, lam2, order):
@@ -564,6 +592,22 @@ def test_fit_stack_memory_is_bounded(order, bound):
     assert peak <= bound * target.nbytes
 
 
+@pytest.mark.parametrize("order, bound", [(1, 3.8), (2, 6.9), (3, 10.05)])
+def test_update_signs_memory_is_bounded(order, bound):
+    # the planes, one int8 sign set, the distances and one 512-row tile's
+    # scratch, then the float64 signs it returns
+    target = _gauss((1024, 128), seed=6)
+    pairs = [(np.abs(_gauss(1024, seed=6, stream=1 + k)), np.abs(_gauss(128, seed=6, stream=4 + k)))
+             for k in range(order)]
+    tracemalloc.start()
+    try:
+        update_signs(target, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * target.nbytes
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_fit_stack_allocates_only_its_results_beside_the_workspace(order, weighted):
@@ -585,83 +629,3 @@ def test_fit_stack_allocates_only_its_results_beside_the_workspace(order, weight
     # a few vectors of rows + cols entries per term and group
     scales = 8 * 8 * order * size * (rows + cols)
     assert peak <= signs + scales
-
-
-# --- stacks fitted side by side ------------------------------------------------
-
-
-@pytest.fixture
-def lanes(monkeypatch):
-    """Sets daq's worker count for one test, on a pool of its own; records
-    (thread name, stack starts) of every lane that runs."""
-    seen = []
-    fit_lane = daq._fit_lane
-
-    def spy(ws, blocks, lams, weight, cfg, starts, step):
-        seen.append((threading.current_thread().name, list(starts)))
-        return fit_lane(ws, blocks, lams, weight, cfg, starts, step)
-
-    def use(workers):
-        if daq._pool is not None:
-            daq._pool.shutdown()
-        monkeypatch.setattr(daq, "_WORKERS", workers)
-        monkeypatch.setattr(daq, "_pool", None)
-        seen.clear()
-        return seen
-
-    monkeypatch.setattr(daq, "_fit_lane", spy)
-    monkeypatch.setattr(daq, "_pool", None)
-    yield use
-    if daq._pool is not None:
-        daq._pool.shutdown()
-
-
-def _five_groups(seed=3):
-    """Five 6x8 groups and their weight masks."""
-    blocks = [_gauss((6, 8), seed=seed + g) for g in range(5)]
-    lams = [np.where(_gauss((6, 8), seed=seed + g, stream=1) > 1.0, 2.5, 1.0) for g in range(5)]
-    return blocks, lams
-
-
-def _fit_bytes(fits):
-    return [
-        (fit.loss_history, [(t.alpha_r.tobytes(), t.alpha_c.tobytes(), t.signs.tobytes())
-                            for t in fit.orders])
-        for fit in fits
-    ]
-
-
-def test_fit_groups_gives_the_same_fits_on_any_worker_count(lanes):
-    blocks, lams = _five_groups()
-    cfg = DaqConfig(order=3, sweeps=6, tol=0.0)
-    with mock.patch.object(daq, "_MAX_STACK_WEIGHTS", 2 * 6 * 8):  # stacks start at 0, 2 and 4
-        results = {}
-        for workers in (0, 1, 2):
-            seen = lanes(workers)
-            results[workers] = _fit_bytes(daq._fit_groups(blocks, lams, cfg))
-            # stacks are dealt round-robin, the caller taking the first lane
-            threads = [name for name, _ in seen]
-            assert threading.current_thread().name in threads
-            assert len([name for name in threads if name.startswith("daq")]) == workers
-            assert sorted(start for _, starts in seen for start in starts) == [0, 2, 4]
-    assert results[1] == results[0] and results[2] == results[0]
-    for fit, w, lam in zip(daq._fit_groups(blocks, lams, cfg), blocks, lams):
-        _assert_same_as_oracle(fit, w, lam, cfg)
-
-
-def test_fit_groups_raises_a_workers_error_and_keeps_its_pool(lanes):
-    blocks, _ = _five_groups()
-    bad = [w.copy() for w in blocks]
-    bad[1][2, 3] = np.nan  # group 1 is the second stack's: the worker's lane
-    cfg = DaqConfig(order=2, sweeps=3)
-    with mock.patch.object(daq, "_MAX_STACK_WEIGHTS", 6 * 8):  # a stack per group
-        for workers in (0, 1):
-            seen = lanes(workers)
-            with pytest.raises(ValueError, match="matrix contains non-finite entries"):
-                daq._fit_groups(bad, None, cfg)
-        assert [starts for name, starts in seen if name.startswith("daq")] == [[1, 3]]
-        pool = daq._pool
-        fits = daq._fit_groups(blocks, None, cfg)
-        assert daq._pool is pool
-    for fit, w in zip(fits, blocks):
-        _assert_same_as_oracle(fit, w, None, cfg)

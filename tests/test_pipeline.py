@@ -6,6 +6,7 @@ import json
 import shutil
 import struct
 import tempfile
+import threading
 import tracemalloc
 import types
 import weakref
@@ -1325,19 +1326,13 @@ def test_damp_rel_beyond_bound_is_refused_before_any_work(tmp_path, damp):
     assert codes == ([0, 0, 0] if float(damp) <= 1e6 else [2, 2, 2])
 
 
-def test_quantize_starts_no_fit_worker_on_the_readme_toy(tmp_path, monkeypatch):
-    # each (order, width) of the README toy.cfg is one stack: nothing to hand a worker
-    cfg = PipelineConfig(
-        d_model=128, d_hidden=384, seq_len=64, calib_sequences=32, group_width=8, ratio=0.05,
-        out_dir=str(tmp_path),
-    )
-    model = get_model(cfg)
-    names = target_layers(cfg, model)
-    pairs = _calibrated_pairs(cfg)
-    monkeypatch.setattr(daq, "_WORKERS", 1)
-    monkeypatch.setattr(daq, "_pool", None)
-    _quantize(cfg, model, names, pairs.get, _weights_sha256(model).hexdigest())
-    assert daq._pool is None
+def test_fit_groups_starts_no_thread_on_wide_groups():
+    # three 1024x128 groups, as a wide layer passes them: each is a stack of its own
+    blocks = [np.asarray(Rng(21, g).gaussian((1024, 128))) for g in range(3)]
+    before = threading.enumerate()
+    fits = daq._fit_groups(blocks, None, DaqConfig(order=1, sweeps=1))
+    assert len(fits) == 3
+    assert threading.enumerate() == before
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -9,9 +9,8 @@ calib, quantize and eval again, as the benchmark worker runs its set-up and
 first op. It prints one `<workload> <stage> <MB>` line per stage and one
 `<workload> cycle <MB>` line: the maximum resident set size of each
 process. The stage lines show which stage needs the most memory; the cycle
-line also counts what a stage's heap carries into the next and the fit
-pool thread's malloc arena, so it is the one to compare with the
-benchmark's `peak_rss_mb`.
+line also counts what a stage's heap carries into the next, so it is the
+one to compare with the benchmark's `peak_rss_mb`.
 
 It runs the `maskquant` of the checkout it sits in, with the environment it
 is given (so the BLAS thread count is the caller's).
